@@ -8,16 +8,11 @@ Output formats:
   plain  aligned columns, probabilities at 6 decimals
   csv    header row + rows; first column carries the schema version
   jsonl  one JSON object per row with a "schema" key
-
-The environment variable FROGCRIT_THREADS caps the worker count used to
-evaluate table rows; row order always follows the input order.
 """
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from .critical import (
     cone_table_row,
@@ -57,24 +52,6 @@ def parse_d_list(text: str) -> list[int]:
         if d < 2:
             raise ParameterError(f"every d must be >= 2, got {d}")
     return ds
-
-
-def _worker_count(n_items: int) -> int:
-    cap = os.environ.get("FROGCRIT_THREADS")
-    if cap is None:
-        workers = min(8, os.cpu_count() or 1)
-    else:
-        try:
-            workers = int(cap)
-        except ValueError:
-            raise ParameterError(
-                f"FROGCRIT_THREADS must be a positive integer, got {cap!r}"
-            ) from None
-        if workers < 1:
-            raise ParameterError(
-                f"FROGCRIT_THREADS must be a positive integer, got {cap!r}"
-            )
-    return max(1, min(workers, n_items))
 
 
 def _fmt_plain(value) -> str:
@@ -176,13 +153,7 @@ _TABLE_BUILDERS = {
 def _cmd_table(args, out) -> int:
     ds = parse_d_list(args.d)
     schema, header, build, project = _TABLE_BUILDERS[args.model]
-    workers = _worker_count(len(ds))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            built = list(pool.map(build, ds))
-    else:
-        built = [build(d) for d in ds]
-    _emit(schema, header, [project(r) for r in built], args.format, out)
+    _emit(schema, header, [project(build(d)) for d in ds], args.format, out)
     return 0
 
 

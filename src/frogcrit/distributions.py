@@ -45,6 +45,12 @@ class HazardSpec:
         return self.c * self.q**k
 
 
+def check_degree(d) -> None:
+    """Raise ParameterError unless the tree degree d is an integer >= 2."""
+    if not isinstance(d, int) or d < 2:
+        raise ParameterError(f"d must be an integer >= 2, got {d}")
+
+
 @dataclass(frozen=True)
 class TreeParams:
     """Parameters (d, c, q) of the process on the directed d-ary tree.
@@ -58,12 +64,8 @@ class TreeParams:
     q: float
 
     def __post_init__(self):
-        if not isinstance(self.d, int) or self.d < 2:
-            raise ParameterError(f"d must be an integer >= 2, got {self.d}")
-        if not 0.0 < self.c <= 1.0:
-            raise ParameterError(f"c must be in (0, 1], got {self.c}")
-        if not 0.0 < self.q < 1.0:
-            raise ParameterError(f"q must be in (0, 1), got {self.q}")
+        check_degree(self.d)
+        HazardSpec(self.c, self.q)  # the checks on c and q
         if self.d * self.q > 1.0:
             raise ParameterError(
                 f"d*q must be <= 1 so that c*(d*q)^n stays below 1, got {self.d * self.q}"

@@ -16,7 +16,7 @@ from enum import Enum
 
 import numpy as np
 
-from .distributions import HazardSpec, pmf_sequence
+from .distributions import HazardSpec, check_degree, pmf_sequence
 from .errors import BracketError, ParameterError
 
 _MAX_BISECT = 200
@@ -63,12 +63,16 @@ def renewal_probabilities(spec: HazardSpec, N: int) -> RenewalProbs:
     """u_0..u_N via the convolution recursion u_n = sum f_k u_{n-k}."""
     if N < 0:
         raise ParameterError(f"N must be >= 0, got {N}")
-    f = pmf_sequence(spec, N)
-    u = np.zeros(N + 1)
+    return RenewalProbs(values=_renewal_recursion(pmf_sequence(spec, N)), spec=spec)
+
+
+def _renewal_recursion(f: np.ndarray) -> np.ndarray:
+    """u_0 = 1 and u_n = sum_{k=1}^{n} f_k u_{n-k} for gaps f_1..f_N (f[0] unused)."""
+    u = np.zeros(len(f))
     u[0] = 1.0
-    for n in range(1, N + 1):
+    for n in range(1, len(f)):
         u[n] = f[1 : n + 1] @ u[n - 1 :: -1]
-    return RenewalProbs(values=u, spec=spec)
+    return u
 
 
 def _series_terms_needed(c: float, aq: float, tol: float) -> int:
@@ -85,16 +89,15 @@ def generating_function(spec: HazardSpec, alpha: float, tol: float = 1e-12) -> f
     The tail after K terms is bounded by c (alpha q)^{K+1} / (1 - alpha q).
     Diverges when alpha*q >= 1, which is rejected as a domain error.
     """
-    value, _ = _generating_function(spec, alpha, tol)
-    return value
+    return _generating_function(spec.c, spec.q, alpha, tol)[0]
 
 
-def _generating_function(spec: HazardSpec, alpha: float, tol: float) -> tuple[float, int]:
+def _generating_function(c: float, q: float, alpha: float, tol: float) -> tuple[float, int]:
+    """(F(alpha), terms used) for the hazard law (c, q); G(q) at alpha = d."""
     if alpha < 1.0:
         raise ParameterError(f"alpha must be >= 1, got {alpha}")
     if tol <= 0.0:
         raise ParameterError(f"tol must be > 0, got {tol}")
-    c, q = spec.c, spec.q
     aq = alpha * q
     if aq >= 1.0:
         raise ParameterError(
@@ -117,14 +120,13 @@ def _generating_function(spec: HazardSpec, alpha: float, tol: float) -> tuple[fl
         k += 1
 
 
-def _series_exceeds_one(spec: HazardSpec, alpha: float) -> bool:
-    """Sign of F(alpha) - 1 by early-exit partial sums.
+def _series_exceeds_one(c: float, q: float, alpha: float) -> bool:
+    """Sign of F(alpha) - 1 (of G(q) - 1 at alpha = d) by early-exit partial sums.
 
     Partial sums are increasing, so the answer is certain as soon as the
     running sum exceeds 1 or the sum plus its tail bound stays at or
     below 1.
     """
-    c, q = spec.c, spec.q
     aq = alpha * q
     total = 0.0
     surv = 1.0
@@ -142,6 +144,25 @@ def _series_exceeds_one(spec: HazardSpec, alpha: float) -> bool:
         k += 1
 
 
+def _bisect(above, lo: float, hi: float, done=lambda lo, hi: False) -> tuple[float, float]:
+    """Halve [lo, hi], kept with above(lo) false and above(hi) true.
+
+    Stops after _MAX_BISECT halvings, when the midpoint no longer splits
+    the bracket in floating point, or as soon as done(lo, hi).
+    """
+    for _ in range(_MAX_BISECT):
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            break
+        if above(mid):
+            hi = mid
+        else:
+            lo = mid
+        if done(lo, hi):
+            break
+    return lo, hi
+
+
 def convergence_rate(spec: HazardSpec, tol: float = 1e-12) -> RateResult:
     """Unique alpha in (1, 1/q) with F(alpha) = 1, by bracketed bisection.
 
@@ -151,26 +172,20 @@ def convergence_rate(spec: HazardSpec, tol: float = 1e-12) -> RateResult:
     """
     if tol <= 0.0:
         raise ParameterError(f"tol must be > 0, got {tol}")
+    c, q = spec.c, spec.q
     lo = 1.0 + 1e-12
-    hi = 1.0 / spec.q - 1e-12
-    if lo * spec.q >= 1.0 or hi <= lo:
-        raise ParameterError(f"q = {spec.q} leaves no room for a rate in (1, 1/q)")
-    if _series_exceeds_one(spec, lo):
+    hi = 1.0 / q - 1e-12
+    if lo * q >= 1.0 or hi <= lo:
+        raise ParameterError(f"q = {q} leaves no room for a rate in (1, 1/q)")
+    if _series_exceeds_one(c, q, lo):
         raise BracketError(
             "F(1) >= 1: the gap law is not defective enough to bracket a root"
         )
-    if not _series_exceeds_one(spec, hi):
+    if not _series_exceeds_one(c, q, hi):
         raise BracketError("F stays below 1 up to the radius of convergence")
-    for _ in range(_MAX_BISECT):
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        if _series_exceeds_one(spec, mid):
-            hi = mid
-        else:
-            lo = mid
+    lo, hi = _bisect(lambda alpha: _series_exceeds_one(c, q, alpha), lo, hi)
     gamma = 0.5 * (lo + hi)
-    value, K = _generating_function(spec, gamma, min(tol * 1e-2, 1e-13))
+    value, K = _generating_function(c, q, gamma, min(tol * 1e-2, 1e-13))
     return RateResult(
         gamma=gamma, residual=abs(value - 1.0), bracket=(lo, hi), truncation_K=K
     )
@@ -181,10 +196,11 @@ def growth_sequence(d: int, spec: HazardSpec, N: int) -> np.ndarray:
 
     Computed by running the convolution recursion directly on the tilted
     gaps g_k = d^k f_k = c (d q)^k prod_{i<k}(1 - c q^i), which avoids
-    the underflow of u_n at long horizons.
+    the underflow of u_n at long horizons.  The gaps are built as one
+    running product, not as d^k * pmf_sequence: at long horizons d^k
+    overflows where f_k underflows.
     """
-    if not isinstance(d, int) or d < 2:
-        raise ParameterError(f"d must be an integer >= 2, got {d}")
+    check_degree(d)
     if N < 0:
         raise ParameterError(f"N must be >= 0, got {N}")
     c, q = spec.c, spec.q
@@ -195,11 +211,7 @@ def growth_sequence(d: int, spec: HazardSpec, N: int) -> np.ndarray:
         scale *= d * q
         g[k] = c * scale * surv
         surv *= 1.0 - c * q**k
-    v = np.zeros(N + 1)
-    v[0] = 1.0
-    for n in range(1, N + 1):
-        v[n] = g[1 : n + 1] @ v[n - 1 :: -1]
-    return v
+    return _renewal_recursion(g)
 
 
 def growth_classifier(d: int, spec: HazardSpec, N: int) -> Growth:

@@ -22,12 +22,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import HazardSpec, TreeParams
+from .distributions import HazardSpec, TreeParams, check_degree
 from .errors import ActivationCapError, ParameterError
 from .rng import replicate_key, uniform, uniform_matrix
 
 _DEFAULT_CAP = 10_000_000
 _SEED_MAX = 2**64
+
+
+def _check_seed(seed: int) -> None:
+    if not 0 <= seed < _SEED_MAX:
+        raise ParameterError(f"seed must be a 64-bit unsigned integer, got {seed}")
 
 
 @dataclass(frozen=True)
@@ -45,8 +50,7 @@ class FrogSimConfig:
             raise ParameterError(f"max_depth must be >= 1, got {self.max_depth}")
         if self.replicates < 1:
             raise ParameterError(f"replicates must be >= 1, got {self.replicates}")
-        if not 0 <= self.seed < _SEED_MAX:
-            raise ParameterError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
+        _check_seed(self.seed)
         if self.activation_cap < 1:
             raise ParameterError(f"activation_cap must be >= 1, got {self.activation_cap}")
 
@@ -101,8 +105,7 @@ class VertexId:
 
     def number(self, d: int) -> int:
         """Canonical breadth-first index, used as the RNG entity key."""
-        if not isinstance(d, int) or d < 2:
-            raise ParameterError(f"d must be an integer >= 2, got {d}")
+        check_degree(d)
         bases = _level_bases(d, len(self.path))
         num = 0
         for depth, child in enumerate(self.path):
@@ -257,8 +260,7 @@ def simulate_firework(spec: HazardSpec, n: int, replicates: int, seed: int) -> S
         raise ParameterError(f"n must be >= 1, got {n}")
     if replicates < 1:
         raise ParameterError(f"replicates must be >= 1, got {replicates}")
-    if not 0 <= seed < _SEED_MAX:
-        raise ParameterError(f"seed must be a 64-bit unsigned integer, got {seed}")
+    _check_seed(seed)
     u = uniform_matrix(seed, replicates, n, draw=0)
     radii = _radii_from_uniforms(u, spec.c, spec.q)
     hits, depth_hist = _informed_counts(radii, n)
@@ -281,8 +283,7 @@ def estimate_branch_hit(params: TreeParams, n: int, replicates: int, seed: int) 
         raise ParameterError(f"n must be >= 1, got {n}")
     if replicates < 1:
         raise ParameterError(f"replicates must be >= 1, got {replicates}")
-    if not 0 <= seed < _SEED_MAX:
-        raise ParameterError(f"seed must be a 64-bit unsigned integer, got {seed}")
+    _check_seed(seed)
     d, c, q = params.d, params.c, params.q
     dq = d * q
     u_reach = uniform_matrix(seed, replicates, n, draw=1)

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +17,23 @@ def run_cli(args, capsys):
     code = main(args)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _golden_cases():
+    # cli_golden.txt: each "$ <args>" line is followed by that command's stdout
+    cases = []
+    for block in (Path(__file__).parent / "cli_golden.txt").read_text().split("$ ")[1:]:
+        args, out = block.split("\n", 1)
+        cases.append(pytest.param(args, out, id=args))
+    return cases
+
+
+@pytest.mark.parametrize("args,expected", _golden_cases())
+def test_csv_output_is_byte_identical_to_golden(args, expected, capsys):
+    """Frozen full-precision csv stdout of the solvers and the four tables."""
+    code, out, err = run_cli(args.split(), capsys)
+    assert (code, err) == (0, "")
+    assert out == expected
 
 
 class TestParseDList:
@@ -128,16 +146,6 @@ class TestTableCommand:
         assert code == 2
         assert "empty" in err
 
-    def test_thread_cap_does_not_change_output(self, capsys, monkeypatch):
-        args = ["table", "--model", "cone", "--d", "2..6", "--format", "csv"]
-        _, baseline, _ = run_cli(args, capsys)
-        monkeypatch.setenv("FROGCRIT_THREADS", "2")
-        _, capped, _ = run_cli(args, capsys)
-        assert capped == baseline
-        monkeypatch.setenv("FROGCRIT_THREADS", "zero")
-        code, _, err = run_cli(args, capsys)
-        assert code == 2
-        assert "FROGCRIT_THREADS" in err
 
 
 class TestGammaCommand:

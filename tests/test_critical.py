@@ -143,17 +143,18 @@ class TestInvertBoundsC2:
                 assert q_lo <= solve_qc(d, c).q_c <= q_hi
 
     def test_upper_bracket_defect_small_c(self):
-        """The upper inversion undershoots the root at (d=2, c=0.25).
+        """The upper inversion undershoots the root at small c, not only at d=2.
 
         The derivation of the upper expression uses the product minorant
         1 - c q - c q^2, which is false for c < 1 (counterexample below);
         the lower inversion is unaffected.  Frozen as a regression check
         of the known behavior.
         """
-        res = solve_qc(2, 0.25)
-        assert res.lower_c2 <= res.q_c  # majorant side always brackets
-        assert res.q_c > res.upper_c2  # minorant side fails here
-        assert res.q_c - res.upper_c2 == pytest.approx(2.77e-4, abs=2e-5)
+        for d, c, excess, slack in ((2, 0.25, 2.77e-4, 2e-5), (10, 0.05, 8.37e-8, 1e-9)):
+            res = solve_qc(d, c)
+            assert res.lower_c2 <= res.q_c  # majorant side always brackets
+            assert res.q_c > res.upper_c2  # minorant side fails here
+            assert res.q_c - res.upper_c2 == pytest.approx(excess, abs=slack)
 
 
 class TestExplicitBoundsC3:
