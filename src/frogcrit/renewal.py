@@ -24,6 +24,7 @@ _MAX_BISECT = 200
 # quarter must decrease with ratio at least this far below 1
 _RATIO_MARGIN = 1e-6
 _MAX_SERIES_TERMS = 20_000_000
+_TINY = np.finfo(float).tiny
 
 
 class Growth(Enum):
@@ -66,12 +67,28 @@ def renewal_probabilities(spec: HazardSpec, N: int) -> RenewalProbs:
     return RenewalProbs(values=_renewal_recursion(pmf_sequence(spec, N)), spec=spec)
 
 
-def _renewal_recursion(f: np.ndarray) -> np.ndarray:
-    """u_0 = 1 and u_n = sum_{k=1}^{n} f_k u_{n-k} for gaps f_1..f_N (f[0] unused)."""
-    u = np.zeros(len(f))
+def _renewal_recursion(f: np.ndarray, stop_above: float | None = None) -> np.ndarray:
+    """u_0 = 1 and u_n = sum_{k=1}^{min(n, K)} f_k u_{n-k} for gaps f_1..f_N (f[0] unused).
+
+    K is the last gap index with f_K >= tiny, the smallest normal float,
+    when the gaps beyond K are nonincreasing, and K = N otherwise.  Every
+    dropped gap is below tiny, so the terms dropped at step n add at most
+    (n - K) * tiny * max_{m<n} |u_m| to u_n; multiply-adds on subnormal
+    gaps are what the truncation saves.  With stop_above, the recursion
+    stops at the first n >= 1 with u_n > stop_above and returns u_0..u_n.
+    """
+    N = len(f) - 1
+    normal = np.flatnonzero(f[1:] >= _TINY)
+    K = int(normal[-1]) + 1 if normal.size else 0
+    if np.any(np.diff(f[K + 1 :]) > 0.0):
+        K = N
+    u = np.zeros(N + 1)
     u[0] = 1.0
-    for n in range(1, len(f)):
-        u[n] = f[1 : n + 1] @ u[n - 1 :: -1]
+    for n in range(1, N + 1):
+        m = min(n, K)
+        u[n] = f[1 : m + 1] @ u[n - m : n][::-1]
+        if stop_above is not None and u[n] > stop_above:
+            return u[: n + 1]
     return u
 
 
@@ -196,10 +213,19 @@ def growth_sequence(d: int, spec: HazardSpec, N: int) -> np.ndarray:
 
     Computed by running the convolution recursion directly on the tilted
     gaps g_k = d^k f_k = c (d q)^k prod_{i<k}(1 - c q^i), which avoids
-    the underflow of u_n at long horizons.  The gaps are built as one
-    running product, not as d^k * pmf_sequence: at long horizons d^k
-    overflows where f_k underflows.
+    the underflow of u_n at long horizons.  The recursion drops the gaps
+    beyond the last one at or above the smallest normal float; those add
+    at most (n - K) * tiny * max_{m<n} |v_m| to v_n (see
+    _renewal_recursion).  In the supercritical regime v_n grows without
+    bound and overflows at long horizons; growth_classifier runs the same
+    recursion but stops at the first v_n > 1.
     """
+    return _renewal_recursion(_tilted_gaps(d, spec, N))
+
+
+def _tilted_gaps(d: int, spec: HazardSpec, N: int) -> np.ndarray:
+    # One running product, not d^k * pmf_sequence: at long horizons d^k
+    # overflows where f_k underflows.
     check_degree(d)
     if N < 0:
         raise ParameterError(f"N must be >= 0, got {N}")
@@ -211,21 +237,23 @@ def growth_sequence(d: int, spec: HazardSpec, N: int) -> np.ndarray:
         scale *= d * q
         g[k] = c * scale * surv
         surv *= 1.0 - c * q**k
-    return _renewal_recursion(g)
+    return g
 
 
 def growth_classifier(d: int, spec: HazardSpec, N: int) -> Growth:
     """Classify the growth of d^n u_n over the horizon n <= N.
 
-    Supercritical as soon as some d^n u_n exceeds 1.  Subcritical when
-    the trailing quarter of the horizon is strictly decreasing below 1
-    with ratio bounded away from 1.  Indeterminate otherwise (the
-    near-critical regime at finite horizon).
+    Supercritical as soon as some d^n u_n exceeds 1: the recursion stops
+    at that n, so it never runs into the overflow of growth_sequence.
+    Subcritical when the trailing quarter of the horizon is strictly
+    decreasing below 1 with ratio bounded away from 1.  Indeterminate
+    otherwise (the near-critical regime at finite horizon).  The
+    sequence is growth_sequence's, truncated gaps included.
     """
     if N < 1:
         raise ParameterError(f"N must be >= 1, got {N}")
-    v = growth_sequence(d, spec, N)
-    if np.any(v[1:] > 1.0):
+    v = _renewal_recursion(_tilted_gaps(d, spec, N), stop_above=1.0)
+    if v[-1] > 1.0:
         return Growth.SUPERCRITICAL
     window = max(2, N // 4)
     tail = v[N - window :]

@@ -28,6 +28,9 @@ from .rng import replicate_key, uniform, uniform_matrix
 
 _DEFAULT_CAP = 10_000_000
 _SEED_MAX = 2**64
+# uniform() reduces entity keys mod 2^64, so vertices numbered v and
+# v + 2^64 would share every draw
+_KEY_SPACE = 2**64
 
 
 def _check_seed(seed: int) -> None:
@@ -48,6 +51,12 @@ class FrogSimConfig:
     def __post_init__(self):
         if self.max_depth < 1:
             raise ParameterError(f"max_depth must be >= 1, got {self.max_depth}")
+        limit = _first_aliased_depth(self.params.d)
+        if self.max_depth >= limit:
+            raise ParameterError(
+                f"max_depth must be < {limit} at d={self.params.d}: deeper vertex "
+                f"numbers reach 2^64 and would share random draws, got {self.max_depth}"
+            )
         if self.replicates < 1:
             raise ParameterError(f"replicates must be >= 1, got {self.replicates}")
         _check_seed(self.seed)
@@ -126,6 +135,12 @@ def _level_bases(d: int, levels: int) -> list[int]:
         bases.append(bases[-1] + width)
         width *= d
     return bases
+
+
+def _first_aliased_depth(d: int) -> int:
+    """Shallowest depth holding a breadth-first vertex number >= 2^64."""
+    bases = _level_bases(d, 64)  # depth 64 holds such numbers for every d >= 2
+    return next(depth for depth in range(65) if bases[depth + 1] - 1 >= _KEY_SPACE)
 
 
 def _child_number(v: int, depth: int, child: int, d: int, bases) -> int:

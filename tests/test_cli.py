@@ -3,10 +3,14 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import frogcrit
 from frogcrit import ParameterError
 from frogcrit.cli import main, parse_d_list
 
@@ -236,3 +240,25 @@ class TestSimulateCommand:
         )
         assert code == 3
         assert "cap" in err
+
+    def test_frog_rejects_depths_whose_vertex_numbers_alias(self, capsys):
+        args = ["simulate", "frog", "--d", "10", "--c", "1", "--q", "0.01",
+                "--replicates", "5", "--seed", "1", "--max-depth"]
+        code, _, err = run_cli(args + ["20"], capsys)
+        assert code == 2
+        assert "2^64" in err
+        code, _, err = run_cli(args + ["19"], capsys)
+        assert (code, err) == (0, "")
+
+    def test_frog_long_horizon_writes_no_warning(self):
+        """A supercritical classification stops before d^n u_n can overflow."""
+        env = dict(os.environ, PYTHONPATH=str(Path(frogcrit.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "frogcrit.cli", "simulate", "frog", "--d", "2",
+             "--c", "1", "--q", "0.35", "--max-depth", "6", "--replicates", "100",
+             "--seed", "1", "--horizon", "10000"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        assert "growth classification (horizon 10000): supercritical" in proc.stdout

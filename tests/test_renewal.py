@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -20,6 +21,8 @@ from frogcrit import (
     renewal_probabilities,
     solve_qc,
 )
+from frogcrit.distributions import pmf_sequence
+from frogcrit.renewal import _renewal_recursion, _tilted_gaps
 
 from reference_tables import GENFUNC_C1_Q025_A2
 
@@ -88,6 +91,102 @@ class TestRenewalProbabilities:
     def test_negative_horizon(self):
         with pytest.raises(ParameterError):
             renewal_probabilities(HazardSpec(0.5, 0.5), -1)
+
+
+TINY = np.finfo(float).tiny
+
+
+def _full_recursion(f: np.ndarray) -> np.ndarray:
+    """u_n = sum_{k=1}^{n} f_k u_{n-k} over every gap, nothing dropped."""
+    u = np.zeros(len(f))
+    u[0] = 1.0
+    for n in range(1, len(f)):
+        u[n] = f[1 : n + 1] @ u[n - 1 :: -1]
+    return u
+
+
+def _full_sequence_rule(v: np.ndarray) -> Growth:
+    """growth_classifier's rule applied to a whole sequence v_0..v_N."""
+    N = len(v) - 1
+    if np.any(v[1:] > 1.0):
+        return Growth.SUPERCRITICAL
+    tail = v[N - max(2, N // 4) :]
+    if np.all(tail < 1.0) and np.all(tail[1:] <= (1.0 - 1e-6) * tail[:-1]):
+        return Growth.SUBCRITICAL
+    return Growth.INDETERMINATE
+
+
+def _last_normal_gap(f: np.ndarray) -> int:
+    return int(np.flatnonzero(f[1:] >= TINY)[-1]) + 1
+
+
+class TestRenewalRecursion:
+    @pytest.mark.parametrize("d", [2, 10])
+    @pytest.mark.parametrize("c", [0.25, 1.0])
+    @pytest.mark.parametrize("ratio", [0.95, 1.05])
+    def test_truncation_and_early_exit_change_nothing(self, d, c, ratio):
+        """Bit-equal to the full O(N^2) loop; the verdict is the full-sequence rule."""
+        spec = HazardSpec(c, solve_qc(d, c).q_c * ratio)
+        g = _tilted_gaps(d, spec, 5000)
+        assert _last_normal_gap(g) < 5000  # the recursion drops gaps here
+        full = _full_recursion(g)
+        assert np.array_equal(_renewal_recursion(g), full)
+        assert np.array_equal(growth_sequence(d, spec, 5000), full)
+        verdict = growth_classifier(d, spec, 5000)
+        assert verdict is _full_sequence_rule(full)
+        expected = Growth.SUBCRITICAL if ratio < 1.0 else Growth.SUPERCRITICAL
+        assert verdict is expected
+
+    @pytest.mark.parametrize("c", [1.0, 0.001])
+    def test_truncation_bound_against_mpmath(self, c):
+        """|u_n - exact| stays within (n - K) tiny max_{m<n} u_m plus rounding.
+
+        At q = 0.05 the gaps pass below tiny at K = 234..236.  At c = 1 the
+        u_n are far above tiny there, at c = 0.001 they are not, and the
+        dropped gaps move u_n by up to 80%.  The oracle runs the recursion
+        on the same float64 gaps with all N terms at 60 digits.
+        """
+        mpmath = pytest.importorskip("mpmath")
+        N = 500
+        spec = HazardSpec(c, 0.05)
+        f = pmf_sequence(spec, N)
+        K = _last_normal_gap(f)
+        assert K < N and np.any((f > 0.0) & (f < TINY))
+        u = renewal_probabilities(spec, N).values
+        eps = np.finfo(float).eps
+        with mpmath.workdps(60):
+            gaps = [mpmath.mpf(float(x)) for x in f]
+            exact = [mpmath.mpf(1)]
+            for n in range(1, N + 1):
+                exact.append(mpmath.fsum(gaps[k] * exact[n - k] for k in range(1, n + 1)))
+            # dropped amounts are not amplified while the gaps sum below 1
+            spread = 1 / (1 - mpmath.fsum(gaps))
+            for n in range(1, N + 1):
+                dropped = max(n - K, 0) * TINY * max(exact[:n])
+                rounding = n * n * eps * exact[n] + n * n * 2.0**-1074
+                assert abs(mpmath.mpf(float(u[n])) - exact[n]) <= spread * dropped + rounding
+        if c < 1.0:
+            assert not np.array_equal(u, _full_recursion(f))
+
+    def test_truncation_rule_on_small_gap_laws(self):
+        # f_1 is normal, f_2 and f_3 are not, and u_2, u_3 sit at tiny's scale
+        small = 2.0**-1000
+        falling = np.array([0.0, small, TINY / 2, TINY / 4])
+        assert np.array_equal(_renewal_recursion(falling), [1.0, small, 0.0, 0.0])
+        # gaps that rise again past K keep every term
+        rising = np.array([0.0, small, TINY / 4, TINY / 2])
+        assert np.array_equal(_renewal_recursion(rising), [1.0, small, TINY / 4, TINY / 2])
+        # no normal gap at all: K = 0
+        assert np.array_equal(_renewal_recursion(np.array([0.0, TINY / 2])), [1.0, 0.0])
+
+    def test_stop_above_returns_the_prefix_through_the_first_exceedance(self):
+        f = np.array([0.0, 0.5, 0.5, 0.5, 0.5])  # u = 1, 0.5, 0.75, 1.125, ...
+        full = _full_recursion(f)
+        assert np.array_equal(_renewal_recursion(f, stop_above=1.0), full[:4])
+        assert np.array_equal(_renewal_recursion(f, stop_above=10.0), full)
+        # u_2 = 1 exactly is not an exceedance
+        f = np.array([0.0, 0.5, 0.75, 0.1])
+        assert np.array_equal(_renewal_recursion(f, stop_above=1.0), [1.0, 0.5, 1.0, 0.975])
 
 
 class TestGeneratingFunction:
@@ -183,6 +282,12 @@ class TestGrowthClassifier:
         v = growth_sequence(2, spec, 50)
         u = renewal_probabilities(spec, 50).values
         np.testing.assert_allclose(v, [2.0**n * u[n] for n in range(51)], rtol=1e-10)
+
+    def test_long_supercritical_horizon_raises_no_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            verdict = growth_classifier(2, HazardSpec(1.0, 0.35), 10_000)
+        assert verdict is Growth.SUPERCRITICAL
 
     def test_validation(self):
         with pytest.raises(ParameterError):

@@ -20,6 +20,7 @@ from frogcrit import (
     simulate_frog,
     solve_qc,
 )
+from frogcrit.rng import replicate_key, uniform
 
 
 def binom_se(p: float, n: int) -> float:
@@ -183,6 +184,20 @@ class TestSimulateFrog:
             FrogSimConfig(params=params, max_depth=5, replicates=0, seed=1)
         with pytest.raises(ParameterError):
             FrogSimConfig(params=params, max_depth=5, replicates=10, seed=-1)
+
+    def test_rejects_depths_whose_vertex_numbers_alias(self):
+        """uniform() keys vertices mod 2^64, so numbers >= 2^64 are refused."""
+        base = replicate_key(1, 0)
+        assert uniform(base, 5, 0) == uniform(base, 5 + 2**64, 0)
+        for d, first in ((2, 63), (3, 40), (10, 20), (100, 10)):
+            # the last vertex of a level: every child index at its maximum
+            deepest = (d,) + (d - 1,) * (first - 1)
+            assert VertexId(deepest[:-1]).number(d) < 2**64 <= VertexId(deepest).number(d)
+            params = TreeParams(d, 1.0, 0.1 / d)
+            config = FrogSimConfig(params=params, max_depth=first - 1, replicates=5, seed=1)
+            assert simulate_frog(config).replicates == 5
+            with pytest.raises(ParameterError, match="2\\^64"):
+                FrogSimConfig(params=params, max_depth=first, replicates=5, seed=1)
 
 
 class TestSimulateFirework:
