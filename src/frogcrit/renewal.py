@@ -224,19 +224,20 @@ def growth_sequence(d: int, spec: HazardSpec, N: int) -> np.ndarray:
 
 
 def _tilted_gaps(d: int, spec: HazardSpec, N: int) -> np.ndarray:
-    # One running product, not d^k * pmf_sequence: at long horizons d^k
-    # overflows where f_k underflows.
+    # Running products, not d^k * pmf_sequence: at long horizons d^k
+    # overflows where f_k underflows.  multiply.accumulate multiplies in
+    # index order, so each product is the one a scalar loop would form.
     check_degree(d)
     if N < 0:
         raise ParameterError(f"N must be >= 0, got {N}")
     c, q = spec.c, spec.q
+    # q**i is Python's pow: numpy's vectorized power can differ in the last bit
+    qi = np.array([q**i for i in range(1, N)])
     g = np.zeros(N + 1)
-    scale = 1.0
-    surv = 1.0
-    for k in range(1, N + 1):
-        scale *= d * q
-        g[k] = c * scale * surv
-        surv *= 1.0 - c * q**k
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = np.multiply.accumulate(np.full(N, d * q))  # (d q)^k
+        surv = np.multiply.accumulate(np.append(1.0, 1.0 - c * qi))  # prod_{i<k}(1 - c q^i)
+        g[1:] = c * scale * surv[:N]
     return g
 
 

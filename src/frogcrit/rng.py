@@ -47,18 +47,32 @@ def _finalize_u64(z: np.ndarray) -> np.ndarray:
     return z ^ (z >> np.uint64(31))
 
 
+def replicate_keys(seed: int, replicates: int) -> np.ndarray:
+    """uint64 base keys ``replicate_key(seed, r)`` for r = 0..replicates-1."""
+    h0 = np.uint64(_finalize((seed + _GOLDEN) & _MASK))
+    reps = np.arange(replicates, dtype=np.uint64)
+    return _finalize_u64((h0 ^ reps) + np.uint64(_GOLDEN))
+
+
+def uniforms(base_keys, entity, draw) -> np.ndarray:
+    """Array form of ``uniform``: (0, 1] uniforms for broadcast keys, entities, draws.
+
+    Keys, entities and draws must lie in [0, 2^64).  Bit-identical to
+    ``uniform`` element by element.
+    """
+    g = np.uint64(_GOLDEN)
+    keys = np.asarray(base_keys, dtype=np.uint64)
+    with np.errstate(over="ignore"):
+        h = _finalize_u64((keys ^ np.asarray(entity, dtype=np.uint64)) + g)
+        h = _finalize_u64((h ^ np.asarray(draw, dtype=np.uint64)) + g)
+    return ((h >> np.uint64(11)).astype(np.float64) + 1.0) * _INV53
+
+
 def uniform_matrix(seed: int, replicates: int, entities: int, draw: int) -> np.ndarray:
     """(replicates, entities) matrix of (0, 1] uniforms, one draw index.
 
     Bit-identical to calling ``uniform(replicate_key(seed, r), e, draw)``
     for every pair (r, e), but vectorized.
     """
-    with np.errstate(over="ignore"):
-        g = np.uint64(_GOLDEN)
-        h0 = np.uint64(_finalize((seed + _GOLDEN) & _MASK))
-        reps = np.arange(replicates, dtype=np.uint64)[:, None]
-        ents = np.arange(entities, dtype=np.uint64)[None, :]
-        base = _finalize_u64((h0 ^ reps) + g)
-        h = _finalize_u64((base ^ ents) + g)
-        h = _finalize_u64((h ^ np.uint64(draw)) + g)
-        return ((h >> np.uint64(11)).astype(np.float64) + 1.0) * _INV53
+    keys = replicate_keys(seed, replicates)[:, None]
+    return uniforms(keys, np.arange(entities, dtype=np.uint64)[None, :], draw)

@@ -24,7 +24,7 @@ import numpy as np
 
 from .distributions import HazardSpec, TreeParams, check_degree
 from .errors import ActivationCapError, ParameterError
-from .rng import replicate_key, uniform, uniform_matrix
+from .rng import replicate_key, replicate_keys, uniform, uniform_matrix, uniforms
 
 _DEFAULT_CAP = 10_000_000
 _SEED_MAX = 2**64
@@ -270,15 +270,33 @@ def simulate_firework(spec: HazardSpec, n: int, replicates: int, seed: int) -> S
     branch_hits[k] / replicates estimates the renewal probability u_k.
     Radii are inverse transforms of per-(replicate, site) uniforms, so
     two runs sharing a seed are coupled monotonically in q.
+
+    One pass over the sites keeps only the replicates whose informed
+    prefix reaches the current site and draws the next radius for those
+    alone; it stops once none remain, so memory is O(replicates + n).
+    The result is bit-identical to ``_informed_counts`` on the full
+    radius matrix, which ``estimate_branch_hit`` still builds.
     """
     if n < 1:
         raise ParameterError(f"n must be >= 1, got {n}")
     if replicates < 1:
         raise ParameterError(f"replicates must be >= 1, got {replicates}")
     _check_seed(seed)
-    u = uniform_matrix(seed, replicates, n, draw=0)
-    radii = _radii_from_uniforms(u, spec.c, spec.q)
-    hits, depth_hist = _informed_counts(radii, n)
+    c, q = spec.c, spec.q
+    keys = replicate_keys(seed, replicates)
+    reach = _radii_from_uniforms(uniforms(keys, 0, 0), c, q)  # max of i + D_i so far
+    hits = np.zeros(n + 1, dtype=np.int64)
+    hits[0] = replicates
+    for j in range(1, n + 1):
+        informed = reach >= j
+        keys, reach = keys[informed], reach[informed]
+        hits[j] = keys.size
+        if keys.size == 0:
+            break
+        if j < n:
+            reach = np.maximum(reach, j + _radii_from_uniforms(uniforms(keys, j, 0), c, q))
+    # the informed set is a prefix: exactly hits[k] - hits[k + 1] stop at site k
+    depth_hist = hits - np.append(hits[1:], 0)
     return SimOutcome(
         reached_depth=depth_hist, branch_hits=hits, replicates=replicates, seed=seed
     )

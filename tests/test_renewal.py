@@ -189,6 +189,50 @@ class TestRenewalRecursion:
         assert np.array_equal(_renewal_recursion(f, stop_above=1.0), [1.0, 0.5, 1.0, 0.975])
 
 
+def _tilted_gaps_loop(d: int, spec: HazardSpec, N: int) -> np.ndarray:
+    """g_k = c (d q)^k prod_{i<k}(1 - c q^i) as one scalar running product."""
+    c, q = spec.c, spec.q
+    g = np.zeros(N + 1)
+    scale = 1.0
+    surv = 1.0
+    for k in range(1, N + 1):
+        scale *= d * q
+        g[k] = c * scale * surv
+        surv *= 1.0 - c * q**k
+    return g
+
+
+class TestTiltedGaps:
+    def test_bit_equal_to_the_scalar_loop_on_the_sweep_grid(self):
+        """18 (d, c) cells x q_c * {0.8, .., 1.2} x N in {200, 5000}: 216 calls."""
+        calls = 0
+        for d, c in itertools.product((2, 3, 5, 10, 30, 100), (0.25, 0.5, 1.0)):
+            qc = solve_qc(d, c).q_c
+            for ratio, N in itertools.product((0.8, 0.95, 0.99, 1.01, 1.05, 1.2), (200, 5000)):
+                spec = HazardSpec(c, qc * ratio)
+                assert np.array_equal(_tilted_gaps(d, spec, N), _tilted_gaps_loop(d, spec, N))
+                calls += 1
+        assert calls == 216
+
+    @pytest.mark.parametrize(
+        "d, c, q, N",
+        [
+            (2, 1.0, 0.3, 0),
+            (2, 1.0, 0.3, 1),
+            (2, 1.0, 0.999999, 5000),  # where a SIMD power can miss pow's last bit
+            (2, 1.0, 0.6, 5000),  # d q > 1: (d q)^k overflows, g_k is nan
+            (1000, 0.3, 0.7, 3000),
+            (3, 1e-9, 0.2, 400),
+        ],
+    )
+    def test_bit_equal_to_the_scalar_loop_at_the_edges(self, d, c, q, N):
+        spec = HazardSpec(c, q)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            gaps = _tilted_gaps(d, spec, N)
+        assert gaps.tobytes() == _tilted_gaps_loop(d, spec, N).tobytes()
+
+
 class TestGeneratingFunction:
     def test_at_one_equals_total_mass(self):
         """F(1) = P(T < inf) = 1 - defect, strictly below 1."""

@@ -20,7 +20,8 @@ from frogcrit import (
     simulate_frog,
     solve_qc,
 )
-from frogcrit.rng import replicate_key, uniform
+from frogcrit.rng import replicate_key, uniform, uniform_matrix
+from frogcrit.simulator import _informed_counts, _radii_from_uniforms
 
 
 def binom_se(p: float, n: int) -> float:
@@ -250,6 +251,38 @@ class TestSimulateFirework:
         # hits[k] counts rightmost >= k
         tail = np.cumsum(outcome.reached_depth[::-1])[::-1]
         np.testing.assert_array_equal(outcome.branch_hits, tail)
+
+
+def _matrix_line(spec: HazardSpec, n: int, replicates: int, seed: int):
+    """Every (replicate, site) radius as one matrix, then one prefix scan."""
+    radii = _radii_from_uniforms(uniform_matrix(seed, replicates, n, draw=0), spec.c, spec.q)
+    return _informed_counts(radii, n)
+
+
+class TestFrontierEngine:
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    @pytest.mark.parametrize("c, q", [(1.0, 0.25), (1.0, 0.6), (1.0, 0.9), (0.5, 0.95), (0.3, 0.05)])
+    def test_bit_equal_to_the_matrix_pipeline(self, c, q, seed):
+        """Dies out early at q = 0.05 and 0.25, still alive at site 200 at q >= 0.9."""
+        spec = HazardSpec(c, q)
+        for n in (1, 20, 200):
+            for replicates in (1, 7, 5000):
+                outcome = simulate_firework(spec, n, replicates, seed)
+                hits, depth_hist = _matrix_line(spec, n, replicates, seed)
+                assert np.array_equal(outcome.branch_hits, hits)
+                assert np.array_equal(outcome.reached_depth, depth_hist)
+
+    def test_memory_is_linear_in_replicates_plus_sites(self):
+        """10^7 sites: the radius matrix of 1000 replicates would take 80 GB."""
+        n, replicates = 10**7, 1000
+        outcome = simulate_firework(HazardSpec(1.0, 0.25), n, replicates, 5)
+        hits = outcome.branch_hits
+        assert len(hits) == n + 1 and hits[0] == replicates
+        last = int(np.flatnonzero(hits)[-1])
+        assert 1 <= last < 100
+        assert not hits[last + 1 :].any()
+        assert not outcome.reached_depth[last + 1 :].any()
+        assert outcome.reached_depth[last] == hits[last]
 
 
 class TestEstimateBranchHit:
