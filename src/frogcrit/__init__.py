@@ -48,7 +48,6 @@ from .simulator import (
     SimOutcome,
     VertexId,
     estimate_branch_hit,
-    sample_reach,
     simulate_firework,
     simulate_frog,
 )

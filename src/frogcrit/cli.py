@@ -23,7 +23,7 @@ from .critical import (
 from .distributions import HazardSpec, TreeParams
 from .errors import ActivationCapError, BracketError, ParameterError
 from .renewal import convergence_rate, growth_classifier, renewal_probabilities
-from .simulator import FrogSimConfig, simulate_firework, simulate_frog
+from .simulator import _DEFAULT_CAP, FrogSimConfig, simulate_firework, simulate_frog
 
 _FORMATS = ("plain", "csv", "jsonl")
 
@@ -124,27 +124,27 @@ _TABLE_BUILDERS = {
         "cone.v1",
         ["d", "lower_c2", "lower_explicit", "lower_known",
          "upper_c2", "upper_explicit", "upper_known"],
-        lambda d: cone_table_row(d),
+        cone_table_row,
         lambda r: [r.d, r.lower_c2, r.lower_explicit, r.lower_known,
                    r.upper_c2, r.upper_explicit, r.upper_known],
     ),
     "original": (
         "original.v1",
         ["d", "upper_c2", "upper_explicit", "upper_known"],
-        lambda d: frog_table_row(d),
+        frog_table_row,
         lambda r: [r.d, r.original_c2, r.original_explicit, r.original_known],
     ),
     "selfavoiding": (
         "selfavoiding.v1",
         ["d", "upper_c2", "upper_explicit", "upper_known"],
-        lambda d: frog_table_row(d),
+        frog_table_row,
         lambda r: [r.d, r.self_avoiding_c2, r.self_avoiding_explicit,
                    r.self_avoiding_known],
     ),
     "removal": (
         "removal.v1",
         ["d", "lower", "upper"],
-        lambda d: removal_bounds(d),
+        removal_bounds,
         lambda r: [r.d, r.lower, r.upper],
     ),
 }
@@ -246,7 +246,7 @@ def _build_parser() -> argparse.ArgumentParser:
     frog.add_argument("--max-depth", type=int, required=True)
     frog.add_argument("--replicates", type=int, default=100_000)
     frog.add_argument("--seed", type=int, required=True)
-    frog.add_argument("--cap", type=int, default=10_000_000,
+    frog.add_argument("--cap", type=int, default=_DEFAULT_CAP,
                       help="activated-vertex cap per replicate")
     frog.add_argument("--horizon", type=int, default=200,
                       help="horizon of the deterministic growth classification")

@@ -144,23 +144,21 @@ def solve_qc(d: int, c: float, tol: float = 1e-12) -> CriticalResult:
     )
 
 
-def _lower_d_expr(c: float, q: float) -> float:
-    # lower bound on d as a function of (c, q); decreasing in q.
-    # (c+1)(1 - sqrt(1-y))/(2 q^2 c^2) with y = 4 q c^2/(c+1)^2,
-    # rationalized to 2/((c+1) q (1 + sqrt(1-y))) to avoid cancellation
-    disc = 1.0 - 4.0 * q * c * c / (c + 1.0) ** 2
-    if disc < 0.0:
+def _rationalized_d(c: float, q: float, y: float) -> float:
+    # 2/((c+1) q (1 + sqrt(1-y))): rationalized, so free of the cancellation in 1 - sqrt(1-y)
+    if y > 1.0:
         raise ParameterError(f"discriminant negative at q={q} (q too large for c={c})")
-    return 2.0 / ((c + 1.0) * q * (1.0 + math.sqrt(disc)))
+    return 2.0 / ((c + 1.0) * q * (1.0 + math.sqrt(1.0 - y)))
+
+
+def _lower_d_expr(c: float, q: float) -> float:
+    # lower bound on d, decreasing in q: (c+1)(1 - sqrt(1-y))/(2 q^2 c^2), y = 4 q c^2/(c+1)^2
+    return _rationalized_d(c, q, 4.0 * q * c * c / (c + 1.0) ** 2)
 
 
 def _upper_d_expr(c: float, q: float) -> float:
-    # upper bound on d as a function of (c, q); decreasing in q.
-    # same rationalized shape with y = 4 c^2 q(q+1)/(c+1)^2
-    disc = 1.0 - 4.0 * c * c / (c + 1.0) ** 2 * q * (q + 1.0)
-    if disc < 0.0:
-        raise ParameterError(f"discriminant negative at q={q} (q too large for c={c})")
-    return 2.0 / ((c + 1.0) * q * (1.0 + math.sqrt(disc)))
+    # upper bound on d, decreasing in q: same rationalized shape, y = 4 c^2 q(q+1)/(c+1)^2
+    return _rationalized_d(c, q, 4.0 * c * c / (c + 1.0) ** 2 * q * (q + 1.0))
 
 
 def bounds_on_d(c: float, q: float) -> tuple[float, float]:
@@ -213,8 +211,8 @@ def invert_bounds_c2(d: int, c: float, tol: float = 1e-12) -> tuple[float, float
         raise ParameterError(f"tol must be > 0, got {tol}")
     eps = 1e-12
     # discriminant-valid endpoints, clipped into (0, 1)
-    edge_lower = min((c + 1.0) ** 2 / (4.0 * c * c), 1.0) - eps
     m = (c + 1.0) ** 2 / (4.0 * c * c)
+    edge_lower = min(m, 1.0) - eps
     edge_upper = min((-1.0 + math.sqrt(1.0 + 4.0 * m)) / 2.0, 1.0) - eps
     q_lower = _invert_decreasing(_lower_d_expr, d, c, edge_lower, tol)
     q_upper = _invert_decreasing(_upper_d_expr, d, c, edge_upper, tol)
@@ -239,16 +237,18 @@ def explicit_bounds_c3(d: int, c: float) -> tuple[float, float | None]:
     return lower, upper
 
 
+def _explicit_upper(d: int, c: float) -> float:
+    """The explicit upper bound on q_c, or the c2 inversion at d = 2 where it has none."""
+    if d == 2:
+        return invert_bounds_c2(2, c)[1]
+    return explicit_bounds_c3(d, c)[1]
+
+
 def cone_percolation_bounds(d: int) -> ModelBounds:
     """Bounds for long-range percolation with geometric radii (c=1, q=p)."""
-    _validate_dc(d, 1.0)
-    lower = explicit_bounds_c3(d, 1.0)[0]
-    if d == 2:
-        upper = invert_bounds_c2(2, 1.0)[1]
-    else:
-        # a (1 - sqrt(1 - 14/a^2))/2 rationalized to 7/(a + sqrt(a^2 - 14))
-        a = 7.0 * d - 1.0
-        upper = 7.0 / (a + math.sqrt(a * a - 14.0))
+    lower = explicit_bounds_c3(d, 1.0)[0]  # checks d
+    # d >= 3: 7/(a + sqrt(a^2 - 14)), a = 7d - 1, which the c3 formula gives to the bit
+    upper = _explicit_upper(d, 1.0)
     return ModelBounds(model=Model.CONE_PERCOLATION, d=d, lower=lower, upper=upper)
 
 
@@ -290,9 +290,9 @@ def original_frog_upper(d: int) -> ModelBounds:
     numerical inversion, d >= 3 through the closed form, which is the
     image of the explicit q_c upper bound under p_of_r.
     """
-    _validate_dc(d, 1.0)
+    check_degree(d)
     if d == 2:
-        upper = p_of_r(2, invert_bounds_c2(2, 1.0)[1])
+        upper = p_of_r(2, _explicit_upper(2, 1.0))
     else:
         # (d+1)(a - s) / (d a^2 - 7d + 2 - d a s) with s = sqrt(a^2 - 14);
         # both a - s terms evaluated as 14/(a + s) to avoid cancellation
@@ -305,12 +305,8 @@ def original_frog_upper(d: int) -> ModelBounds:
 
 def self_avoiding_upper(d: int) -> ModelBounds:
     """Upper bound for the self-avoiding variant via c = d/(d+1), q = p/d."""
-    _validate_dc(d, 1.0)
-    c = d / (d + 1.0)
-    if d == 2:
-        upper = 2.0 * invert_bounds_c2(2, c)[1]
-    else:
-        upper = d * explicit_bounds_c3(d, c)[1]
+    check_degree(d)
+    upper = d * _explicit_upper(d, d / (d + 1.0))
     return ModelBounds(model=Model.SELF_AVOIDING_FROG, d=d, lower=None, upper=upper)
 
 
@@ -326,19 +322,19 @@ def removal_bounds(d: int) -> ModelBounds:
 
 def literature_cone_bounds(d: int) -> tuple[float, float]:
     """Previously known cone-percolation bounds 1/(2d) and 1 - sqrt(1 - 1/d)."""
-    _validate_dc(d, 1.0)
+    check_degree(d)
     return 1.0 / (2.0 * d), 1.0 - math.sqrt(1.0 - 1.0 / d)
 
 
 def literature_original_upper(d: int) -> float:
     """Previously known free-walk upper bound (d+1)/(2d)."""
-    _validate_dc(d, 1.0)
+    check_degree(d)
     return (d + 1.0) / (2.0 * d)
 
 
 def literature_self_avoiding_upper(d: int) -> float:
     """Previously known self-avoiding upper bound (2d+1 - sqrt(4d^2-3))/2."""
-    _validate_dc(d, 1.0)
+    check_degree(d)
     return (2.0 * d + 1.0 - math.sqrt(4.0 * d * d - 3.0)) / 2.0
 
 
@@ -397,17 +393,18 @@ def frog_table_row(d: int) -> FrogTableRow:
     )
 
 
-def table_cone(d_list) -> list[ConeTableRow]:
-    """Cone-percolation bound table, one row per requested degree."""
+def _table(row, d_list) -> list:
     ds = list(d_list)
     if not ds:
         raise ParameterError("d_list must not be empty")
-    return [cone_table_row(d) for d in ds]
+    return [row(d) for d in ds]
+
+
+def table_cone(d_list) -> list[ConeTableRow]:
+    """Cone-percolation bound table, one row per requested degree."""
+    return _table(cone_table_row, d_list)
 
 
 def table_frogs(d_list) -> list[FrogTableRow]:
     """Walk-model upper-bound table, one row per requested degree."""
-    ds = list(d_list)
-    if not ds:
-        raise ParameterError("d_list must not be empty")
-    return [frog_table_row(d) for d in ds]
+    return _table(frog_table_row, d_list)

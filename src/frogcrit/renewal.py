@@ -192,6 +192,8 @@ def convergence_rate(spec: HazardSpec, tol: float = 1e-12) -> RateResult:
     c, q = spec.c, spec.q
     lo = 1.0 + 1e-12
     hi = 1.0 / q - 1e-12
+    while math.isfinite(hi) and hi * q >= 1.0:  # at small q the 1e-12 step rounds away
+        hi = math.nextafter(hi, 0.0)
     if lo * q >= 1.0 or hi <= lo:
         raise ParameterError(f"q = {q} leaves no room for a rate in (1, 1/q)")
     if _series_exceeds_one(c, q, lo):

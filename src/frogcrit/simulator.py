@@ -33,7 +33,12 @@ _SEED_MAX = 2**64
 _KEY_SPACE = 2**64
 
 
-def _check_seed(seed: int) -> None:
+def _check_run(replicates: int, seed: int, n: int = 1) -> None:
+    # n is the line length of the line engines; the tree engine has none
+    if n < 1:
+        raise ParameterError(f"n must be >= 1, got {n}")
+    if replicates < 1:
+        raise ParameterError(f"replicates must be >= 1, got {replicates}")
     if not 0 <= seed < _SEED_MAX:
         raise ParameterError(f"seed must be a 64-bit unsigned integer, got {seed}")
 
@@ -57,9 +62,7 @@ class FrogSimConfig:
                 f"max_depth must be < {limit} at d={self.params.d}: deeper vertex "
                 f"numbers reach 2^64 and would share random draws, got {self.max_depth}"
             )
-        if self.replicates < 1:
-            raise ParameterError(f"replicates must be >= 1, got {self.replicates}")
-        _check_seed(self.seed)
+        _check_run(self.replicates, self.seed)
         if self.activation_cap < 1:
             raise ParameterError(f"activation_cap must be >= 1, got {self.activation_cap}")
 
@@ -149,26 +152,12 @@ def _child_number(v: int, depth: int, child: int, d: int, bases) -> int:
     return bases[depth + 1] + (v - bases[depth]) * d + child
 
 
-def sample_reach(params: TreeParams, rng, max_steps: int | None = None) -> int:
-    """Number of forward steps of one walker: P(steps >= n) = c (d q)^n.
-
-    Inverse-transform from a single uniform, so for a shared uniform the
-    reach is nondecreasing in q.  When d*q == 1 the reach is infinite
-    with probability c and a finite max_steps is required.
-    """
-    dq = params.d * params.q
-    if dq >= 1.0 and max_steps is None:
-        raise ParameterError(
-            "reach is unbounded with positive probability when d*q == 1; pass max_steps"
-        )
-    u = 1.0 - rng.random()
-    return _reach_from_uniform(u, params.c, dq, max_steps)
-
-
-def _reach_from_uniform(u: float, c: float, dq: float, budget: int | None) -> int:
+def _reach_from_uniform(u: float, c: float, dq: float, budget: int) -> int:
+    # forward steps of one walker, P(steps >= n) = c (d q)^n, capped at
+    # budget; an inverse transform, so for a shared u it is nondecreasing in q
     steps = 0
     threshold = c * dq
-    while u <= threshold and (budget is None or steps < budget):
+    while u <= threshold and steps < budget:
         steps += 1
         threshold *= dq
     return steps
@@ -237,8 +226,10 @@ def _frog_replicate(base, d, c, dq, max_depth, cap, bases) -> int:
 
 
 def _radii_from_uniforms(u: np.ndarray, c: float, q: float) -> np.ndarray:
-    # inverse transform of P(D >= k) = c q^k: D = floor(log(u/c) / log q)
-    return np.maximum(np.floor(np.log(u / c) / np.log(q)), 0.0)
+    # inverse transform of P(D >= k) = c q^k: D = floor(log(u/c) / log q).
+    # For subnormal c, u / c overflows to inf and the radius is 0, as it should be.
+    with np.errstate(over="ignore"):
+        return np.maximum(np.floor(np.log(u / c) / np.log(q)), 0.0)
 
 
 def _informed_counts(radii: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -277,11 +268,7 @@ def simulate_firework(spec: HazardSpec, n: int, replicates: int, seed: int) -> S
     The result is bit-identical to ``_informed_counts`` on the full
     radius matrix, which ``estimate_branch_hit`` still builds.
     """
-    if n < 1:
-        raise ParameterError(f"n must be >= 1, got {n}")
-    if replicates < 1:
-        raise ParameterError(f"replicates must be >= 1, got {replicates}")
-    _check_seed(seed)
+    _check_run(replicates, seed, n)
     c, q = spec.c, spec.q
     keys = replicate_keys(seed, replicates)
     reach = _radii_from_uniforms(uniforms(keys, 0, 0), c, q)  # max of i + D_i so far
@@ -312,11 +299,7 @@ def estimate_branch_hit(params: TreeParams, n: int, replicates: int, seed: int) 
     ``simulate_firework`` on (c, q) while sampling through a different
     factorization.
     """
-    if n < 1:
-        raise ParameterError(f"n must be >= 1, got {n}")
-    if replicates < 1:
-        raise ParameterError(f"replicates must be >= 1, got {replicates}")
-    _check_seed(seed)
+    _check_run(replicates, seed, n)
     d, c, q = params.d, params.c, params.q
     dq = d * q
     u_reach = uniform_matrix(seed, replicates, n, draw=1)

@@ -173,6 +173,14 @@ class TestGammaCommand:
         ]
         assert rows[1][0] == "gamma.v1"
 
+    @pytest.mark.parametrize("q", ["1e-6", "1e-8", "1e-13"])
+    def test_small_q_solves(self, q, capsys):
+        code, out, err = run_cli(["gamma", "--c", "1", "--q", q, "--format", "csv"], capsys)
+        assert (code, err) == (0, "")
+        row = dict(zip(*csv.reader(io.StringIO(out))))
+        assert float(row["residual"]) <= 1e-12
+        assert abs(float(row["gamma"]) * float(q) - 0.5) <= 1e-5
+
 
 class TestSimulateCommand:
     def test_firework_byte_identical_across_runs(self, capsys):

@@ -307,6 +307,19 @@ class TestConvergenceRate:
             moved = convergence_rate(HazardSpec(1.0, q + dq)).gamma
             assert abs(moved - base) < 1e-3
 
+    @pytest.mark.parametrize("q", [1e-6, 1e-8, 1e-13])
+    def test_small_q_brackets_below_the_radius(self, q):
+        """1/q - 1e-12 rounds to 1/q at small q; the bracket must stay below it.
+
+        At c = 1 the root F(gamma) = gamma q/(1 - gamma q) * (1 - O(q)) = 1
+        gives gamma q -> 1/2 as q -> 0.
+        """
+        spec = HazardSpec(1.0, q)
+        res = convergence_rate(spec)
+        assert abs(generating_function(spec, res.gamma, 1e-15) - 1.0) <= 1e-12
+        assert res.residual <= 1e-12
+        assert abs(res.gamma * q - 0.5) <= 1e-5
+
 
 class TestGrowthClassifier:
     def test_supercritical_above_upper_bound(self):

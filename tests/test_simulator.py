@@ -1,6 +1,7 @@
 """Tests for the Monte Carlo engines against exact laws and recursions."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,34 +16,37 @@ from frogcrit import (
     VertexId,
     estimate_branch_hit,
     renewal_probabilities,
-    sample_reach,
     simulate_firework,
     simulate_frog,
     solve_qc,
 )
-from frogcrit.rng import replicate_key, uniform, uniform_matrix
-from frogcrit.simulator import _informed_counts, _radii_from_uniforms
+from frogcrit.rng import replicate_key, replicate_keys, uniform, uniform_matrix, uniforms
+from frogcrit.simulator import _informed_counts, _radii_from_uniforms, _reach_from_uniform
 
 
 def binom_se(p: float, n: int) -> float:
     return math.sqrt(p * (1.0 - p) / n)
 
 
-class TestSampleReach:
+def reaches(params: TreeParams, seed: int, n: int, budget: int = 1000) -> list[int]:
+    """Walker reaches of n replicates, each from its counter-based draw 0."""
+    u = uniforms(replicate_keys(seed, n), 0, 0)
+    dq = params.d * params.q
+    return [_reach_from_uniform(x, params.c, dq, budget) for x in u.tolist()]
+
+
+class TestReachFromUniform:
     def test_first_step_probability(self):
         params = TreeParams(2, 0.7, 0.35)
-        rng = np.random.default_rng(1)
         n = 300_000
-        hits = sum(sample_reach(params, rng) >= 1 for _ in range(n))
+        hits = sum(r >= 1 for r in reaches(params, 1, n))
         p = params.c * params.d * params.q
         assert abs(hits / n - p) <= 4 * binom_se(p, n)
 
     def test_geometric_continuation_ratio(self):
         # conditional on reaching 2 steps, a third follows with prob d*q
         params = TreeParams(2, 0.9, 0.4)
-        rng = np.random.default_rng(2)
-        reaches = [sample_reach(params, rng) for _ in range(300_000)]
-        at_least_2 = [r for r in reaches if r >= 2]
+        at_least_2 = [r for r in reaches(params, 2, 300_000) if r >= 2]
         frac = sum(r >= 3 for r in at_least_2) / len(at_least_2)
         dq = params.d * params.q
         assert abs(frac - dq) <= 4 * binom_se(dq, len(at_least_2))
@@ -50,24 +54,22 @@ class TestSampleReach:
     def test_fixed_descendant_visit_probability(self):
         """Visiting a fixed vertex at distance 3 has probability c q^3."""
         params = TreeParams(2, 0.9, 0.3)
-        rng = np.random.default_rng(3)
         n = 300_000
-        hits = 0
-        for _ in range(n):
-            if sample_reach(params, rng) < 3:
-                continue
-            # uniform child choices from a non-root start, fixed target path
-            if all(int(rng.random() * params.d) == 0 for _ in range(3)):
-                hits += 1
+        keys = replicate_keys(3, n)
+        # uniform child choices from a non-root start (draws 1..3, as in the
+        # tree engine), fixed target path: child 0 at every step
+        on_path = np.ones(n, dtype=bool)
+        for j in range(1, 4):
+            on_path &= uniforms(keys, 0, j) * params.d < 1.0
+        far = np.array(reaches(params, 3, n)) >= 3
         want = params.c * params.q**3
-        assert abs(hits / n - want) <= 4 * binom_se(want, n)
+        assert abs(np.count_nonzero(far & on_path) / n - want) <= 4 * binom_se(want, n)
 
-    def test_unbounded_reach_needs_cap(self):
-        params = TreeParams(2, 0.5, 0.5)  # d*q == 1
-        rng = np.random.default_rng(4)
-        with pytest.raises(ParameterError):
-            sample_reach(params, rng)
-        assert sample_reach(params, rng, max_steps=10) <= 10
+    def test_budget_caps_unbounded_reach(self):
+        params = TreeParams(2, 0.5, 0.5)  # d*q == 1: infinite reach w.p. c
+        capped = reaches(params, 4, 1000, budget=10)
+        assert max(capped) == 10
+        assert all(r in (0, 10) for r in capped)
 
 
 class TestSimulateFrog:
@@ -131,12 +133,7 @@ class TestSimulateFrog:
         engine's FIFO queue, replicate by replicate.
         """
         from frogcrit.rng import replicate_key, uniform
-        from frogcrit.simulator import (
-            _child_number,
-            _frog_replicate,
-            _level_bases,
-            _reach_from_uniform,
-        )
+        from frogcrit.simulator import _child_number, _frog_replicate, _level_bases
 
         d, c, q, max_depth, seed = 2, 1.0, 0.3, 7, 17
         bases = _level_bases(d, max_depth + 1)
@@ -342,6 +339,15 @@ class TestEstimateBranchHit:
                 assert v9 - v3 > 4 * sigma
             else:
                 assert v3 - v9 > 4 * sigma
+
+
+def test_subnormal_scale_informs_nobody_without_warning():
+    """u / c overflows to inf for subnormal c; the radius is 0 and stays silent."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        outcome = simulate_firework(HazardSpec(1e-310, 0.5), 5, 10, 1)
+        assert outcome.branch_hits.tolist() == [10, 0, 0, 0, 0, 0]
+        assert estimate_branch_hit(TreeParams(2, 1e-310, 0.3), 3, 10, 1) == 0.0
 
 
 class TestVertexId:
