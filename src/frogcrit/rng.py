@@ -49,8 +49,13 @@ def _finalize_u64(z: np.ndarray) -> np.ndarray:
 
 def replicate_keys(seed: int, replicates: int) -> np.ndarray:
     """uint64 base keys ``replicate_key(seed, r)`` for r = 0..replicates-1."""
+    return replicate_key_range(seed, 0, replicates)
+
+
+def replicate_key_range(seed: int, start: int, stop: int) -> np.ndarray:
+    """uint64 base keys ``replicate_key(seed, r)`` for r = start..stop-1."""
     h0 = np.uint64(_finalize((seed + _GOLDEN) & _MASK))
-    reps = np.arange(replicates, dtype=np.uint64)
+    reps = np.arange(start, stop, dtype=np.uint64)
     return _finalize_u64((h0 ^ reps) + np.uint64(_GOLDEN))
 
 

@@ -24,9 +24,18 @@ import numpy as np
 
 from .distributions import HazardSpec, TreeParams, check_degree
 from .errors import ActivationCapError, ParameterError
-from .rng import replicate_key, replicate_keys, uniform, uniform_matrix, uniforms
+from .rng import (
+    replicate_key,
+    replicate_key_range,
+    replicate_keys,
+    uniform,
+    uniform_matrix,
+    uniforms,
+)
 
 _DEFAULT_CAP = 10_000_000
+# replicates per pass of the level engine; bounds its memory whatever the run size
+_BLOCK = 2048
 _SEED_MAX = 2**64
 # uniform() reduces entity keys mod 2^64, so vertices numbered v and
 # v + 2^64 would share every draw
@@ -163,31 +172,112 @@ def _reach_from_uniform(u: float, c: float, dq: float, budget: int) -> int:
     return steps
 
 
+def _reach_thresholds(c: float, dq: float, levels: int) -> np.ndarray:
+    # t[k] is the threshold _reach_from_uniform compares u with before step
+    # k + 1, formed by the same float products
+    t = np.empty(levels)
+    threshold = c * dq
+    for k in range(levels):
+        t[k] = threshold
+        threshold *= dq
+    return t
+
+
+def _reach_from_thresholds(u: np.ndarray, thresholds: np.ndarray, budget: int) -> np.ndarray:
+    # _reach_from_uniform on an array: d q <= 1 makes the thresholds
+    # nonincreasing, so the steps taken are the k < budget with u <= t[k]
+    return np.searchsorted(-thresholds[:budget], -u, side="right")
+
+
 def simulate_frog(config: FrogSimConfig) -> SimOutcome:
     """Deepest-activated-level histogram over seeded replicates.
 
-    Per replicate, a work queue starts at the root; each activated
-    vertex draws its reach and walks a uniform descending path,
-    activating every not-yet-activated vertex on it.  The replicate
-    stops as soon as max_depth is activated (nothing deeper is needed
-    for the histogram) or the queue drains.  The terminal activation
-    set does not depend on the processing order because every draw is
-    keyed to its vertex.
+    Each activated vertex draws its reach and walks a uniform descending
+    path, activating every not-yet-activated vertex on it; a replicate's
+    outcome is the deepest level its activation set reaches, capped at
+    max_depth.  The set does not depend on the processing order because
+    every draw is keyed to its vertex.
+
+    When the whole tree to max_depth fits under activation_cap, blocks of
+    _BLOCK replicates run level by level (_frog_levels), so memory does
+    not grow with the replicate count.  Otherwise each replicate runs the
+    scalar work queue of _frog_replicate, which raises ActivationCapError
+    once its activated set exceeds the cap.  Both give the same histogram.
     """
     p = config.params
     d, c, q = p.d, p.c, p.q
-    bases = _level_bases(d, config.max_depth + 1)
-    hist = np.zeros(config.max_depth + 1, dtype=np.int64)
-    for rep in range(config.replicates):
-        base = replicate_key(config.seed, rep)
-        deepest = _frog_replicate(
-            base, d, c, d * q, config.max_depth, config.activation_cap, bases
-        )
-        hist[deepest] += 1
+    max_depth = config.max_depth
+    bases = _level_bases(d, max_depth + 1)
+    hist = np.zeros(max_depth + 1, dtype=np.int64)
+    if bases[max_depth + 1] <= config.activation_cap:
+        thresholds = _reach_thresholds(c, d * q, max_depth)
+        for start in range(0, config.replicates, _BLOCK):
+            keys = replicate_key_range(
+                config.seed, start, min(start + _BLOCK, config.replicates)
+            )
+            deepest = _frog_levels(keys, d, thresholds, max_depth, bases)
+            hist += np.bincount(deepest, minlength=max_depth + 1)
+    else:
+        for rep in range(config.replicates):
+            base = replicate_key(config.seed, rep)
+            deepest = _frog_replicate(
+                base, d, c, d * q, max_depth, config.activation_cap, bases
+            )
+            hist[deepest] += 1
     return SimOutcome(
         reached_depth=hist, branch_hits=None,
         replicates=config.replicates, seed=config.seed,
     )
+
+
+def _frog_levels(keys, d, thresholds, max_depth, bases) -> np.ndarray:
+    """Deepest activated level of each replicate keyed by `keys`.
+
+    All live walkers of all replicates sit at one depth and take their
+    next step together.  A vertex at depth L + 1 can only be reached by a
+    step from depth L, so the vertices this step activates are exactly
+    its distinct (replicate, vertex) pairs, and each launches a walker.
+    A replicate retires once a walker's reach takes it to max_depth: its
+    outcome is then known and its cluster need not grow further.
+    """
+    level_start = [np.uint64(b) for b in bases[: max_depth + 1]]
+    deepest = np.zeros(keys.size, dtype=np.int64)
+    retired = np.zeros(keys.size, dtype=bool)
+    # the live walkers: replicate, vertex, next path-choice draw, steps left
+    rep = np.arange(keys.size)
+    cur = np.zeros(keys.size, dtype=np.uint64)
+    left = _reach_from_thresholds(uniforms(keys, 0, 0), thresholds, max_depth)
+    draw = np.ones(keys.size, dtype=np.uint64)
+    for depth in range(max_depth):
+        # a walker with steps left to max_depth settles its replicate's outcome
+        retired[rep[left == max_depth - depth]] = True
+        alive = (left > 0) & ~retired[rep]
+        rep, cur, draw, left = rep[alive], cur[alive], draw[alive], left[alive]
+        if rep.size == 0:
+            break
+        fanout = d + 1 if depth == 0 else d
+        choice = (uniforms(keys[rep], cur, draw) * fanout).astype(np.uint64)
+        np.minimum(choice, fanout - 1, out=choice)  # u == 1.0 endpoint
+        # _child_number in uint64; bases[1] = 1 covers the root's children
+        cur = level_start[depth + 1] + (cur - level_start[depth]) * np.uint64(d) + choice
+        deepest[rep] = depth + 1
+        # one walker per new vertex: a duplicate would repeat the same draws,
+        # and its copies would multiply level after level
+        order = np.lexsort((cur, rep))
+        rep_s, cur_s = rep[order], cur[order]
+        first = np.ones(rep.size, dtype=bool)
+        first[1:] = (rep_s[1:] != rep_s[:-1]) | (cur_s[1:] != cur_s[:-1])
+        new = order[first]
+        budget = max_depth - depth - 1
+        new_left = _reach_from_thresholds(
+            uniforms(keys[rep[new]], cur[new], 0), thresholds, budget
+        )
+        rep = np.concatenate((rep, rep[new]))
+        cur = np.concatenate((cur, cur[new]))
+        draw = np.concatenate((draw + np.uint64(1), np.ones(new.size, dtype=np.uint64)))
+        left = np.concatenate((left - 1, new_left))
+    deepest[retired] = max_depth
+    return deepest
 
 
 def _frog_replicate(base, d, c, dq, max_depth, cap, bases) -> int:

@@ -181,6 +181,12 @@ class TestGammaCommand:
         assert float(row["residual"]) <= 1e-12
         assert abs(float(row["gamma"]) * float(q) - 0.5) <= 1e-5
 
+    @pytest.mark.parametrize("q", ["1e-310", "5e-324"])
+    def test_subnormal_q_names_the_overflow(self, q, capsys):
+        code, out, err = run_cli(["gamma", "--c", "1", "--q", q], capsys)
+        assert (code, out) == (2, "")
+        assert "1/q overflows" in err and "series diverges" not in err
+
 
 class TestSimulateCommand:
     def test_firework_byte_identical_across_runs(self, capsys):

@@ -1,12 +1,19 @@
-"""Property tests of the pathwise coupling that shared seeds give the line engine."""
+"""Property tests of the pathwise coupling that shared seeds give both engines."""
 
 import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
-from frogcrit import HazardSpec, simulate_firework  # noqa: E402
+from frogcrit import (  # noqa: E402
+    FrogSimConfig,
+    HazardSpec,
+    ParameterError,
+    TreeParams,
+    simulate_firework,
+    simulate_frog,
+)
 
 scales = st.floats(min_value=0.0, max_value=1.0, exclude_min=True)  # c in (0, 1]
 ratios = st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True)
@@ -29,5 +36,35 @@ def test_hits_are_monotone_in_q_and_in_c(c, q, dc, dq, n, replicates, seed):
     base = simulate_firework(HazardSpec(c, q), n, replicates, seed).branch_hits
     more_q = simulate_firework(HazardSpec(c, q_hi), n, replicates, seed).branch_hits
     more_c = simulate_firework(HazardSpec(c_hi, q), n, replicates, seed).branch_hits
+    assert np.all(more_q >= base)
+    assert np.all(more_c >= base)
+
+
+def _reach_fractions(d, c, q, max_depth, replicates, seed):
+    try:
+        params = TreeParams(d, c, q)
+    except ParameterError:
+        assume(False)  # d q > 1 or c d q >= 1
+    config = FrogSimConfig(params=params, max_depth=max_depth, replicates=replicates, seed=seed)
+    return simulate_frog(config).reach_fractions()
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    d=st.integers(2, 4), c=scales, dq=scales, c_step=steps, dq_step=steps,
+    max_depth=st.integers(1, 12), replicates=st.integers(1, 20), seed=st.integers(0, 2**64 - 1),
+)
+def test_tree_reach_is_monotone_in_q_and_in_c(d, c, dq, c_step, dq_step, max_depth, replicates, seed):
+    """Walker reaches are nondecreasing in c and in q for a shared uniform, so depths are too.
+
+    Path choices depend on neither parameter, so a longer walk retraces
+    the shorter one and activates a superset of its vertices.
+    """
+    q = dq / d
+    q_hi = (dq + dq_step * (1.0 - dq)) / d
+    c_hi = min(1.0, c + c_step)
+    base = _reach_fractions(d, c, q, max_depth, replicates, seed)
+    more_q = _reach_fractions(d, c, q_hi, max_depth, replicates, seed)
+    more_c = _reach_fractions(d, c_hi, q, max_depth, replicates, seed)
     assert np.all(more_q >= base)
     assert np.all(more_c >= base)

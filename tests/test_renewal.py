@@ -320,6 +320,12 @@ class TestConvergenceRate:
         assert res.residual <= 1e-12
         assert abs(res.gamma * q - 0.5) <= 1e-5
 
+    @pytest.mark.parametrize("q", [1e-310, 5e-324])
+    def test_subnormal_q_is_rejected_for_its_unrepresentable_rate(self, q):
+        """1/q overflows, so gamma ~ 1/(2q) has no float; the error must say so."""
+        with pytest.raises(ParameterError, match="1/q overflows"):
+            convergence_rate(HazardSpec(1.0, q))
+
 
 class TestGrowthClassifier:
     def test_supercritical_above_upper_bound(self):

@@ -3,7 +3,14 @@
 import numpy as np
 import pytest
 
-from frogcrit.rng import replicate_key, replicate_keys, uniform, uniform_matrix, uniforms
+from frogcrit.rng import (
+    replicate_key,
+    replicate_key_range,
+    replicate_keys,
+    uniform,
+    uniform_matrix,
+    uniforms,
+)
 
 SEEDS = [0, 1, 2**63, 2**64 - 1, *np.random.default_rng(20).integers(0, 2**63, 4).tolist()]
 EDGE_ENTITIES = [0, 2**63, 2**64 - 1]
@@ -14,6 +21,8 @@ def test_replicate_keys_match_scalar(seed):
     keys = replicate_keys(seed, 9)
     assert keys.dtype == np.uint64
     assert [int(k) for k in keys] == [replicate_key(seed, r) for r in range(9)]
+    block = replicate_key_range(seed, 2046, 2051)
+    assert [int(k) for k in block] == [replicate_key(seed, r) for r in range(2046, 2051)]
 
 
 @pytest.mark.parametrize("seed", SEEDS)

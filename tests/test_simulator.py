@@ -20,8 +20,19 @@ from frogcrit import (
     simulate_frog,
     solve_qc,
 )
+from frogcrit import simulator
 from frogcrit.rng import replicate_key, replicate_keys, uniform, uniform_matrix, uniforms
-from frogcrit.simulator import _informed_counts, _radii_from_uniforms, _reach_from_uniform
+from frogcrit.simulator import (
+    _BLOCK,
+    _frog_levels,
+    _frog_replicate,
+    _informed_counts,
+    _level_bases,
+    _radii_from_uniforms,
+    _reach_from_thresholds,
+    _reach_from_uniform,
+    _reach_thresholds,
+)
 
 
 def binom_se(p: float, n: int) -> float:
@@ -70,6 +81,23 @@ class TestReachFromUniform:
         capped = reaches(params, 4, 1000, budget=10)
         assert max(capped) == 10
         assert all(r in (0, 10) for r in capped)
+
+    @pytest.mark.parametrize("c, dq", [(1.0, 0.7), (0.3, 0.45), (0.9, 1.0)])
+    def test_threshold_table_gives_the_scalar_reach(self, c, dq):
+        """The level engine's table lookup against the scalar loop, element by element.
+
+        u = 1.0, every threshold and one ulp either side of it, and
+        counter-based draws; d q = 1 makes every threshold equal c.
+        """
+        max_depth = 12
+        table = _reach_thresholds(c, dq, max_depth)
+        edges = [1.0]
+        for t in table.tolist():
+            edges += [math.nextafter(t, 0.0), t, math.nextafter(t, 1.0)]
+        u = np.concatenate((edges, uniforms(replicate_keys(6, 2000), 0, 0)))
+        for budget in (0, 1, 5, max_depth):
+            want = [_reach_from_uniform(x, c, dq, budget) for x in u.tolist()]
+            assert _reach_from_thresholds(u, table, budget).tolist() == want
 
 
 class TestSimulateFrog:
@@ -132,8 +160,7 @@ class TestSimulateFrog:
         uniforms and checks it reaches the same deepest level as the
         engine's FIFO queue, replicate by replicate.
         """
-        from frogcrit.rng import replicate_key, uniform
-        from frogcrit.simulator import _child_number, _frog_replicate, _level_bases
+        from frogcrit.simulator import _child_number
 
         d, c, q, max_depth, seed = 2, 1.0, 0.3, 7, 17
         bases = _level_bases(d, max_depth + 1)
@@ -171,7 +198,7 @@ class TestSimulateFrog:
             params=TreeParams(2, 1.0, 0.35), max_depth=30,
             replicates=200, seed=7, activation_cap=5,
         )
-        with pytest.raises(ActivationCapError):
+        with pytest.raises(ActivationCapError, match="^activated set exceeded cap of 5 vertices$"):
             simulate_frog(config)
 
     def test_config_validation(self):
@@ -196,6 +223,63 @@ class TestSimulateFrog:
             assert simulate_frog(config).replicates == 5
             with pytest.raises(ParameterError, match="2\\^64"):
                 FrogSimConfig(params=params, max_depth=first, replicates=5, seed=1)
+
+
+# (d, c, q, max_depth) for the level engine against the scalar queue
+LEVEL_GRID = [
+    (2, 1.0, 0.35, 12),  # the bench's supercritical shape
+    (2, 1.0, 0.2729, 21),  # near-critical, and the deepest level-engine tree at d = 2
+    (2, 0.9, 0.5, 16),  # d q = 1: every walker either stays or runs to max_depth
+    (2, 1.0, 0.2, 20),  # subcritical
+    (3, 0.5, 0.3, 10),
+    (3, 1.0, 0.3, 1),
+    (10, 1.0, 0.09, 5),
+]
+
+
+class TestLevelEngine:
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    @pytest.mark.parametrize("d, c, q, max_depth", LEVEL_GRID)
+    def test_matches_the_scalar_queue_replicate_by_replicate(self, d, c, q, max_depth, seed):
+        bases = _level_bases(d, max_depth + 1)
+        keys = replicate_keys(seed, 500)
+        table = _reach_thresholds(c, d * q, max_depth)
+        got = _frog_levels(keys, d, table, max_depth, bases)
+        want = [
+            _frog_replicate(int(k), d, c, d * q, max_depth, bases[max_depth + 1], bases)
+            for k in keys
+        ]
+        assert got.tolist() == want
+        assert 0 < got.max()
+
+    def test_dispatch_boundary(self, monkeypatch):
+        """The level engine runs iff the whole tree fits under the cap; both agree."""
+        d, max_depth, replicates = 3, 6, _BLOCK + 3
+        bases = _level_bases(d, max_depth + 1)
+        calls = {"levels": 0, "scalar": 0}
+
+        def spy(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(simulator, "_frog_levels", spy("levels", _frog_levels))
+        monkeypatch.setattr(simulator, "_frog_replicate", spy("scalar", _frog_replicate))
+
+        def run(cap):
+            config = FrogSimConfig(
+                params=TreeParams(d, 0.8, 0.25), max_depth=max_depth,
+                replicates=replicates, seed=4, activation_cap=cap,
+            )
+            return simulate_frog(config).reached_depth
+
+        fitting = run(bases[max_depth + 1])
+        assert calls == {"levels": 2, "scalar": 0}
+        too_big = run(bases[max_depth + 1] - 1)
+        assert calls == {"levels": 2, "scalar": replicates}
+        assert np.array_equal(fitting, too_big)
+        assert fitting[0] > 0 and fitting[max_depth] > 0
 
 
 class TestSimulateFirework:
