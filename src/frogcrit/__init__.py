@@ -7,6 +7,7 @@ from .critical import (
     FrogTableRow,
     Model,
     ModelBounds,
+    bound_table,
     bounds_on_d,
     cone_percolation_bounds,
     explicit_bounds_c3,

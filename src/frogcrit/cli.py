@@ -14,12 +14,7 @@ import argparse
 import json
 import sys
 
-from .critical import (
-    cone_table_row,
-    frog_table_row,
-    removal_bounds,
-    solve_qc,
-)
+from .critical import Model, bound_table, solve_qc
 from .distributions import HazardSpec, TreeParams
 from .errors import ActivationCapError, BracketError, ParameterError
 from .renewal import convergence_rate, growth_classifier, renewal_probabilities
@@ -48,9 +43,6 @@ def parse_d_list(text: str) -> list[int]:
             raise ParameterError(f"cannot parse degree entry {piece!r}") from None
     if not ds:
         raise ParameterError("the degree list is empty")
-    for d in ds:
-        if d < 2:
-            raise ParameterError(f"every d must be >= 2, got {d}")
     return ds
 
 
@@ -119,41 +111,10 @@ def _cmd_qc(args, out) -> int:
     return 0
 
 
-_TABLE_BUILDERS = {
-    "cone": (
-        "cone.v1",
-        ["d", "lower_c2", "lower_explicit", "lower_known",
-         "upper_c2", "upper_explicit", "upper_known"],
-        cone_table_row,
-        lambda r: [r.d, r.lower_c2, r.lower_explicit, r.lower_known,
-                   r.upper_c2, r.upper_explicit, r.upper_known],
-    ),
-    "original": (
-        "original.v1",
-        ["d", "upper_c2", "upper_explicit", "upper_known"],
-        frog_table_row,
-        lambda r: [r.d, r.original_c2, r.original_explicit, r.original_known],
-    ),
-    "selfavoiding": (
-        "selfavoiding.v1",
-        ["d", "upper_c2", "upper_explicit", "upper_known"],
-        frog_table_row,
-        lambda r: [r.d, r.self_avoiding_c2, r.self_avoiding_explicit,
-                   r.self_avoiding_known],
-    ),
-    "removal": (
-        "removal.v1",
-        ["d", "lower", "upper"],
-        removal_bounds,
-        lambda r: [r.d, r.lower, r.upper],
-    ),
-}
-
-
 def _cmd_table(args, out) -> int:
-    ds = parse_d_list(args.d)
-    schema, header, build, project = _TABLE_BUILDERS[args.model]
-    _emit(schema, header, [project(build(d)) for d in ds], args.format, out)
+    model = Model(args.model)
+    columns, rows = bound_table(model, parse_d_list(args.d))
+    _emit(f"{model.value}.v1", columns, rows, args.format, out)
     return 0
 
 
@@ -223,7 +184,7 @@ def _build_parser() -> argparse.ArgumentParser:
     qc.set_defaults(func=_cmd_qc)
 
     table = sub.add_parser("table", help="bound tables for the coupled models")
-    table.add_argument("--model", choices=sorted(_TABLE_BUILDERS), required=True)
+    table.add_argument("--model", choices=sorted(m.value for m in Model), required=True)
     table.add_argument("--d", type=str, required=True,
                        help="degree list, e.g. 2..10,15,20,30,50,100")
     table.add_argument("--format", choices=_FORMATS, default="plain")

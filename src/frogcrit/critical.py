@@ -15,7 +15,7 @@ and the single-activation removal variant (c = 1, q = p/(d+1)).
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 
 from .distributions import HazardSpec, check_degree
@@ -364,47 +364,61 @@ class FrogTableRow:
     self_avoiding_known: float
 
 
-def cone_table_row(d: int) -> ConeTableRow:
+def _cone_row(d: int) -> tuple:
     q_lower, q_upper = invert_bounds_c2(d, 1.0)
     cone = cone_percolation_bounds(d)
     known_lower, known_upper = literature_cone_bounds(d)
-    return ConeTableRow(
-        d=d,
-        lower_c2=q_lower,
-        lower_explicit=cone.lower,
-        lower_known=known_lower,
-        upper_c2=q_upper,
-        upper_explicit=cone.upper,
-        upper_known=known_upper,
-    )
+    return (d, q_lower, cone.lower, known_lower, q_upper, cone.upper, known_upper)
 
 
-def frog_table_row(d: int) -> FrogTableRow:
-    q_upper = invert_bounds_c2(d, 1.0)[1]
-    c_sa = d / (d + 1.0)
-    return FrogTableRow(
-        d=d,
-        original_c2=p_of_r(d, q_upper),
-        original_explicit=original_frog_upper(d).upper,
-        original_known=literature_original_upper(d),
-        self_avoiding_c2=d * invert_bounds_c2(d, c_sa)[1],
-        self_avoiding_explicit=self_avoiding_upper(d).upper,
-        self_avoiding_known=literature_self_avoiding_upper(d),
-    )
+def _original_row(d: int) -> tuple:
+    return (d, p_of_r(d, invert_bounds_c2(d, 1.0)[1]), original_frog_upper(d).upper,
+            literature_original_upper(d))
 
 
-def _table(row, d_list) -> list:
+def _self_avoiding_row(d: int) -> tuple:
+    return (d, d * invert_bounds_c2(d, d / (d + 1.0))[1], self_avoiding_upper(d).upper,
+            literature_self_avoiding_upper(d))
+
+
+def _removal_row(d: int) -> tuple:
+    bounds = removal_bounds(d)
+    return (d, bounds.lower, bounds.upper)
+
+
+_WALK_COLUMNS = ("d", "upper_c2", "upper_explicit", "upper_known")
+
+# each model's table: its column names and the row of values for one degree
+_TABLES = {
+    Model.CONE_PERCOLATION: (tuple(f.name for f in fields(ConeTableRow)), _cone_row),
+    Model.ORIGINAL_FROG: (_WALK_COLUMNS, _original_row),
+    Model.SELF_AVOIDING_FROG: (_WALK_COLUMNS, _self_avoiding_row),
+    Model.REMOVAL: (("d", "lower", "upper"), _removal_row),
+}
+
+
+def bound_table(model: Model, d_list) -> tuple[tuple[str, ...], list[tuple]]:
+    """Column names and one row per degree of the bound table of model.
+
+    Every degree is checked before any row is built.
+    """
     ds = list(d_list)
     if not ds:
         raise ParameterError("d_list must not be empty")
-    return [row(d) for d in ds]
+    for d in ds:
+        check_degree(d)
+    columns, row = _TABLES[model]
+    return columns, [row(d) for d in ds]
 
 
 def table_cone(d_list) -> list[ConeTableRow]:
-    """Cone-percolation bound table, one row per requested degree."""
-    return _table(cone_table_row, d_list)
+    """Cone-percolation bound table (Table 1), one row per requested degree."""
+    return [ConeTableRow(*row) for row in bound_table(Model.CONE_PERCOLATION, d_list)[1]]
 
 
 def table_frogs(d_list) -> list[FrogTableRow]:
-    """Walk-model upper-bound table, one row per requested degree."""
-    return _table(frog_table_row, d_list)
+    """Walk-model upper-bound table (Table 2), one row per requested degree."""
+    ds = list(d_list)
+    original = bound_table(Model.ORIGINAL_FROG, ds)[1]
+    self_avoiding = bound_table(Model.SELF_AVOIDING_FROG, ds)[1]
+    return [FrogTableRow(*o, *s[1:]) for o, s in zip(original, self_avoiding)]

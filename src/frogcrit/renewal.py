@@ -168,7 +168,7 @@ def _bisect(above, lo: float, hi: float, done=lambda lo, hi: False) -> tuple[flo
     the bracket in floating point, or as soon as done(lo, hi).
     """
     for _ in range(_MAX_BISECT):
-        mid = 0.5 * (lo + hi)
+        mid = 0.5 * lo + 0.5 * hi  # lo + hi can overflow near the top of the float range
         if mid <= lo or mid >= hi:
             break
         if above(mid):
@@ -208,7 +208,7 @@ def convergence_rate(spec: HazardSpec, tol: float = 1e-12) -> RateResult:
     if not _series_exceeds_one(c, q, hi):
         raise BracketError("F stays below 1 up to the radius of convergence")
     lo, hi = _bisect(lambda alpha: _series_exceeds_one(c, q, alpha), lo, hi)
-    gamma = 0.5 * (lo + hi)
+    gamma = 0.5 * lo + 0.5 * hi
     value, K = _generating_function(c, q, gamma, min(tol * 1e-2, 1e-13))
     return RateResult(
         gamma=gamma, residual=abs(value - 1.0), bracket=(lo, hi), truncation_K=K

@@ -46,9 +46,12 @@ class TestParseDList:
         assert parse_d_list("2..10,15,20,30,50,100") == TABLE_DEGREES
 
     def test_rejects_garbage(self):
-        for bad in ("", "a", "5..2", "3;4", "1,2"):
+        for bad in ("", "a", "5..2", "3;4"):
             with pytest.raises(ParameterError):
                 parse_d_list(bad)
+
+    def test_leaves_the_degree_rule_to_the_tables(self):
+        assert parse_d_list("1,2") == [1, 2]
 
 
 class TestQcCommand:
@@ -150,6 +153,13 @@ class TestTableCommand:
         assert code == 2
         assert "empty" in err
 
+    @pytest.mark.parametrize("model", ["cone", "original", "selfavoiding", "removal"])
+    @pytest.mark.parametrize("degrees,bad", [("=-1", "-1"), ("=1,2", "1"), ("=0..3", "0")])
+    def test_degree_below_two_exits_2(self, model, degrees, bad, capsys):
+        code, out, err = run_cli(["table", "--model", model, "--d" + degrees], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: d must be an integer >= 2, got {bad}\n"
+
 
 
 class TestGammaCommand:
@@ -180,6 +190,13 @@ class TestGammaCommand:
         row = dict(zip(*csv.reader(io.StringIO(out))))
         assert float(row["residual"]) <= 1e-12
         assert abs(float(row["gamma"]) * float(q) - 0.5) <= 1e-5
+
+    @pytest.mark.parametrize("c,q", [("0.01", "1e-308"), ("1", "5.6e-309")])
+    def test_rate_near_the_float_maximum_solves(self, c, q, capsys):
+        code, out, err = run_cli(["gamma", "--c", c, "--q", q, "--format", "csv"], capsys)
+        assert (code, err) == (0, "")
+        row = dict(zip(*csv.reader(io.StringIO(out))))
+        assert float(row["residual"]) <= 1e-12
 
     @pytest.mark.parametrize("q", ["1e-310", "5e-324"])
     def test_subnormal_q_names_the_overflow(self, q, capsys):

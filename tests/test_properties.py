@@ -1,4 +1,7 @@
-"""Property tests of the pathwise coupling that shared seeds give both engines."""
+"""Property tests: the pathwise coupling that shared seeds give both engines,
+and the round trip of the visit-probability map r(p)."""
+
+import math
 
 import numpy as np
 import pytest
@@ -11,6 +14,8 @@ from frogcrit import (  # noqa: E402
     HazardSpec,
     ParameterError,
     TreeParams,
+    p_of_r,
+    r_of_p,
     simulate_firework,
     simulate_frog,
 )
@@ -68,3 +73,50 @@ def test_tree_reach_is_monotone_in_q_and_in_c(d, c, dq, c_step, dq_step, max_dep
     more_c = _reach_fractions(d, c_hi, q, max_depth, replicates, seed)
     assert np.all(more_q >= base)
     assert np.all(more_c >= base)
+
+
+degrees = st.sampled_from([2, 3, 5, 10, 100, 1000, 10**6])
+# uniform on the grid k / 2^53 of (0, 1), from 2^-53 up to 1 - 2^-53
+walk_ps = st.integers(1, 2**53 - 1).map(lambda k: k / 2**53)
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True)
+@given(d=degrees, p=walk_ps)
+def test_p_of_r_inverts_r_of_p_to_two_ulps(d, p):
+    """p_of_r(d, r_of_p(d, p)) is p to 2 ulps (4.5e-16 relative).
+
+    Two ulps below 1 that error can round the result up to 1.0, which
+    p_of_r rejects as outside the invertible range.
+    """
+    r = r_of_p(d, p)
+    try:
+        back = p_of_r(d, r)
+    except ParameterError:
+        assert p >= 1.0 - 2**-52
+    else:
+        assert abs(back - p) <= 4.5e-16 * p
+
+
+@pytest.mark.parametrize("d,raises", [(2, True), (3, False), (1000, True)])
+def test_round_trip_at_the_largest_p_below_one(d, raises):
+    p = 1.0 - 2**-53
+    r = r_of_p(d, p)
+    if raises:
+        with pytest.raises(ParameterError, match="computed p = 1.0 >= 1"):
+            p_of_r(d, r)
+    else:
+        assert p_of_r(d, r) == 1.0 - 2**-52
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(d=degrees, p=walk_ps, q=walk_ps)
+def test_r_of_p_is_increasing(d, p, q):
+    """r(p) increases with p; two floats apart, strictly.
+
+    Adjacent floats can round to the same r (about 9% of random p).
+    """
+    lo, hi = min(p, q), max(p, q)
+    assume(lo < hi)
+    assert r_of_p(d, lo) <= r_of_p(d, hi)
+    if hi >= math.nextafter(math.nextafter(lo, 1.0), 1.0):
+        assert r_of_p(d, lo) < r_of_p(d, hi)

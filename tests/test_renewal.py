@@ -320,6 +320,16 @@ class TestConvergenceRate:
         assert res.residual <= 1e-12
         assert abs(res.gamma * q - 0.5) <= 1e-5
 
+    @pytest.mark.parametrize("c,q", [(0.01, 1e-308), (1.0, 5.6e-309), (0.5, 5.6e-309), (0.01, 5.6e-309)])
+    def test_rate_near_the_float_maximum_solves(self, c, q):
+        """The bracket nears 1.8e308, where lo + hi overflows; the midpoint must not.
+
+        As q -> 0, F(gamma) = c gamma q/(1 - gamma q) = 1 gives gamma q -> 1/(1 + c).
+        """
+        res = convergence_rate(HazardSpec(c, q))
+        assert res.residual <= 1e-12
+        assert abs(res.gamma * q * (1.0 + c) - 1.0) <= 1e-12
+
     @pytest.mark.parametrize("q", [1e-310, 5e-324])
     def test_subnormal_q_is_rejected_for_its_unrepresentable_rate(self, q):
         """1/q overflows, so gamma ~ 1/(2q) has no float; the error must say so."""

@@ -2,7 +2,7 @@
 
 import pytest
 
-from frogcrit import ParameterError, table_cone, table_frogs
+from frogcrit import Model, ParameterError, bound_table, table_cone, table_frogs
 
 from reference_tables import TABLE_CONE, TABLE_DEGREES, TABLE_FROGS
 
@@ -66,3 +66,20 @@ def test_empty_degree_list_rejected():
         table_cone([])
     with pytest.raises(ParameterError):
         table_frogs([])
+
+
+@pytest.mark.parametrize("model", list(Model))
+def test_degree_below_two_rejected_before_any_row(model):
+    # the self-avoiding row divides by d + 1, so d = -1 must not reach it
+    for d_list in ([-1], [3, -1], [2, 1]):
+        with pytest.raises(ParameterError, match="d must be an integer >= 2"):
+            bound_table(model, d_list)
+
+
+@pytest.mark.parametrize("model", list(Model))
+def test_bound_table_rows_follow_its_columns(model):
+    columns, rows = bound_table(model, iter([2, 3]))
+    assert columns[0] == "d"
+    assert [row[0] for row in rows] == [2, 3]
+    assert all(len(row) == len(columns) for row in rows)
+
