@@ -25,6 +25,7 @@ _MAX_BISECT = 200
 _RATIO_MARGIN = 1e-6
 _MAX_SERIES_TERMS = 20_000_000
 _TINY = np.finfo(float).tiny
+_FLOAT_MAX = np.finfo(float).max
 
 
 class Growth(Enum):
@@ -224,10 +225,19 @@ def growth_sequence(d: int, spec: HazardSpec, N: int) -> np.ndarray:
     beyond the last one at or above the smallest normal float; those add
     at most (n - K) * tiny * max_{m<n} |v_m| to v_n (see
     _renewal_recursion).  In the supercritical regime v_n grows without
-    bound and overflows at long horizons; growth_classifier runs the same
-    recursion but stops at the first v_n > 1.
+    bound: once some v_n overflows, ParameterError names that n.
+    growth_classifier runs the same recursion but stops at the first
+    v_n > 1, so it never overflows.
     """
-    return _renewal_recursion(_tilted_gaps(d, spec, N))
+    # only inf exceeds the largest float, so the recursion stops at the overflow
+    with np.errstate(over="ignore"):
+        v = _renewal_recursion(_tilted_gaps(d, spec, N), stop_above=_FLOAT_MAX)
+    if len(v) <= N:
+        raise ParameterError(
+            f"d^n u_n overflows at n = {len(v) - 1} of horizon N = {N}; "
+            "growth_classifier decides the regime without overflowing"
+        )
+    return v
 
 
 def _tilted_gaps(d: int, spec: HazardSpec, N: int) -> np.ndarray:

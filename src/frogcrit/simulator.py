@@ -35,7 +35,7 @@ from .rng import (
 
 _DEFAULT_CAP = 10_000_000
 # replicates per pass of the level engine; bounds its memory whatever the run size
-_BLOCK = 2048
+_BLOCK = 4096
 _SEED_MAX = 2**64
 # uniform() reduces entity keys mod 2^64, so vertices numbered v and
 # v + 2^64 would share every draw
@@ -199,8 +199,11 @@ def simulate_frog(config: FrogSimConfig) -> SimOutcome:
     every draw is keyed to its vertex.
 
     When the whole tree to max_depth fits under activation_cap, blocks of
-    _BLOCK replicates run level by level (_frog_levels), so memory does
-    not grow with the replicate count.  Otherwise each replicate runs the
+    replicates run level by level (_frog_levels), so memory does not grow
+    with the replicate count.  A block holds _BLOCK replicates, or fewer
+    where the deepest level is so wide that block size times level width
+    would pass 2^64: the engine deduplicates its walkers on one uint64 key
+    (replicate, offset in the level).  Otherwise each replicate runs the
     scalar work queue of _frog_replicate, which raises ActivationCapError
     once its activated set exceeds the cap.  Both give the same histogram.
     """
@@ -211,9 +214,10 @@ def simulate_frog(config: FrogSimConfig) -> SimOutcome:
     hist = np.zeros(max_depth + 1, dtype=np.int64)
     if bases[max_depth + 1] <= config.activation_cap:
         thresholds = _reach_thresholds(c, d * q, max_depth)
-        for start in range(0, config.replicates, _BLOCK):
+        block = min(_BLOCK, _KEY_SPACE // (bases[max_depth + 1] - bases[max_depth]))
+        for start in range(0, config.replicates, block):
             keys = replicate_key_range(
-                config.seed, start, min(start + _BLOCK, config.replicates)
+                config.seed, start, min(start + block, config.replicates)
             )
             deepest = _frog_levels(keys, d, thresholds, max_depth, bases)
             hist += np.bincount(deepest, minlength=max_depth + 1)
@@ -239,8 +243,9 @@ def _frog_levels(keys, d, thresholds, max_depth, bases) -> np.ndarray:
     its distinct (replicate, vertex) pairs, and each launches a walker.
     A replicate retires once a walker's reach takes it to max_depth: its
     outcome is then known and its cluster need not grow further.
+    keys.size times the width of level max_depth must not exceed 2^64.
     """
-    level_start = [np.uint64(b) for b in bases[: max_depth + 1]]
+    level_start = [np.uint64(b) for b in bases[: max_depth + 2]]
     deepest = np.zeros(keys.size, dtype=np.int64)
     retired = np.zeros(keys.size, dtype=bool)
     # the live walkers: replicate, vertex, next path-choice draw, steps left
@@ -251,10 +256,10 @@ def _frog_levels(keys, d, thresholds, max_depth, bases) -> np.ndarray:
     for depth in range(max_depth):
         # a walker with steps left to max_depth settles its replicate's outcome
         retired[rep[left == max_depth - depth]] = True
-        alive = (left > 0) & ~retired[rep]
-        rep, cur, draw, left = rep[alive], cur[alive], draw[alive], left[alive]
-        if rep.size == 0:
+        live = np.flatnonzero((left > 0) & ~retired[rep])
+        if live.size == 0:
             break
+        rep, cur, draw, left = rep[live], cur[live], draw[live], left[live]
         fanout = d + 1 if depth == 0 else d
         choice = (uniforms(keys[rep], cur, draw) * fanout).astype(np.uint64)
         np.minimum(choice, fanout - 1, out=choice)  # u == 1.0 endpoint
@@ -262,19 +267,23 @@ def _frog_levels(keys, d, thresholds, max_depth, bases) -> np.ndarray:
         cur = level_start[depth + 1] + (cur - level_start[depth]) * np.uint64(d) + choice
         deepest[rep] = depth + 1
         # one walker per new vertex: a duplicate would repeat the same draws,
-        # and its copies would multiply level after level
-        order = np.lexsort((cur, rep))
-        rep_s, cur_s = rep[order], cur[order]
-        first = np.ones(rep.size, dtype=bool)
-        first[1:] = (rep_s[1:] != rep_s[:-1]) | (cur_s[1:] != cur_s[:-1])
-        new = order[first]
+        # and its copies would multiply level after level.  The pair
+        # (replicate, offset in the level) packs into one key below 2^64.
+        width = level_start[depth + 2] - level_start[depth + 1]
+        packed = np.sort(rep.astype(np.uint64) * width + (cur - level_start[depth + 1]))
+        distinct = np.empty(packed.size, dtype=bool)
+        distinct[0] = True
+        np.not_equal(packed[1:], packed[:-1], out=distinct[1:])
+        packed = packed[distinct]
+        new_rep = (packed // width).astype(np.intp)
+        new_cur = level_start[depth + 1] + packed % width
         budget = max_depth - depth - 1
         new_left = _reach_from_thresholds(
-            uniforms(keys[rep[new]], cur[new], 0), thresholds, budget
+            uniforms(keys[new_rep], new_cur, 0), thresholds, budget
         )
-        rep = np.concatenate((rep, rep[new]))
-        cur = np.concatenate((cur, cur[new]))
-        draw = np.concatenate((draw + np.uint64(1), np.ones(new.size, dtype=np.uint64)))
+        rep = np.concatenate((rep, new_rep))
+        cur = np.concatenate((cur, new_cur))
+        draw = np.concatenate((draw + np.uint64(1), np.ones(packed.size, dtype=np.uint64)))
         left = np.concatenate((left - 1, new_left))
     deepest[retired] = max_depth
     return deepest

@@ -1,5 +1,6 @@
 """Property tests: the pathwise coupling that shared seeds give both engines,
-and the round trip of the visit-probability map r(p)."""
+the agreement of the two tree engines, and the round trip of the
+visit-probability map r(p)."""
 
 import math
 
@@ -19,6 +20,7 @@ from frogcrit import (  # noqa: E402
     simulate_firework,
     simulate_frog,
 )
+from frogcrit.simulator import _level_bases  # noqa: E402
 
 scales = st.floats(min_value=0.0, max_value=1.0, exclude_min=True)  # c in (0, 1]
 ratios = st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True)
@@ -73,6 +75,30 @@ def test_tree_reach_is_monotone_in_q_and_in_c(d, c, dq, c_step, dq_step, max_dep
     more_c = _reach_fractions(d, c_hi, q, max_depth, replicates, seed)
     assert np.all(more_q >= base)
     assert np.all(more_c >= base)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    d=st.integers(2, 5), c=scales, dq=scales, max_depth=st.integers(1, 10),
+    replicates=st.integers(1, 20),
+    seed=st.sampled_from([0, 2**64 - 1]) | st.integers(0, 2**64 - 1),
+)
+def test_level_engine_and_scalar_queue_give_one_histogram(d, c, dq, max_depth, replicates, seed):
+    """A cap at the tree size runs the level engine, one below it the scalar queue."""
+    try:
+        params = TreeParams(d, c, dq / d)
+    except ParameterError:
+        assume(False)  # c d q >= 1
+    tree = _level_bases(d, max_depth + 1)[max_depth + 1]
+
+    def histogram(cap):
+        config = FrogSimConfig(
+            params=params, max_depth=max_depth, replicates=replicates, seed=seed,
+            activation_cap=cap,
+        )
+        return simulate_frog(config).reached_depth
+
+    assert np.array_equal(histogram(tree), histogram(tree - 1))
 
 
 degrees = st.sampled_from([2, 3, 5, 10, 100, 1000, 10**6])

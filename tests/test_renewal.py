@@ -362,6 +362,24 @@ class TestGrowthClassifier:
             verdict = growth_classifier(2, HazardSpec(1.0, 0.35), 10_000)
         assert verdict is Growth.SUPERCRITICAL
 
+    @pytest.mark.parametrize(
+        "d, c, ratio, N",
+        [(2, 1.0, None, 10_000)]  # q = 0.35
+        + [(d, c, 1.2, 5000) for d in (2, 5, 100) for c in (0.25, 1.0)],
+    )
+    def test_sequence_overflow_raises_at_its_first_index(self, d, c, ratio, N):
+        """The n named is the first non-finite term of the unguarded recursion."""
+        spec = HazardSpec(c, 0.35 if ratio is None else solve_qc(d, c).q_c * ratio)
+        with np.errstate(over="ignore"):
+            unguarded = _renewal_recursion(_tilted_gaps(d, spec, N))
+        first = int(np.flatnonzero(~np.isfinite(unguarded))[0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            message = f"overflows at n = {first} .*growth_classifier"
+            with pytest.raises(ParameterError, match=message):
+                growth_sequence(d, spec, N)
+        assert growth_classifier(d, spec, N) is Growth.SUPERCRITICAL
+
     def test_validation(self):
         with pytest.raises(ParameterError):
             growth_classifier(2, HazardSpec(0.5, 0.5), 0)

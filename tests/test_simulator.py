@@ -282,6 +282,45 @@ class TestLevelEngine:
         assert fitting[0] > 0 and fitting[max_depth] > 0
 
 
+def test_level_blocks_shrink_where_the_packed_key_would_wrap(monkeypatch):
+    """Blocks of _BLOCK replicates times a level width past 2^64 would wrap the key.
+
+    At d = 2 and depth 60 a level holds 3 * 2^59 vertices, so each block
+    takes 2^64 // width = 10 replicates.  Walkers are short (d q = 0.56)
+    and q is just above q_c = 0.2729, so surviving clusters sink level by
+    level without retiring early, down to where one block of all the
+    replicates would wrap its keys (it miscounts 25 of them).
+    """
+    d, c, q, max_depth, seed = 2, 1.0, 0.28, 60, 3
+    bases = _level_bases(d, max_depth + 1)
+    tree = bases[max_depth + 1]
+    width = tree - bases[max_depth]
+    assert _BLOCK * width > 2**64
+    block = 2**64 // width
+    assert block == 10
+    replicates = 40 * block + 3
+    runs = []
+
+    def spy(keys, *args):
+        deepest = _frog_levels(keys, *args)
+        runs.append((keys, deepest))
+        return deepest
+
+    monkeypatch.setattr(simulator, "_frog_levels", spy)
+    config = FrogSimConfig(
+        params=TreeParams(d, c, q), max_depth=max_depth, replicates=replicates,
+        seed=seed, activation_cap=tree,
+    )
+    hist = simulate_frog(config).reached_depth
+    assert [keys.size for keys, _ in runs] == [block] * 40 + [3]
+    keys = np.concatenate([keys for keys, _ in runs])
+    assert np.array_equal(keys, replicate_keys(seed, replicates))
+    want = [_frog_replicate(int(k), d, c, d * q, max_depth, tree, bases) for k in keys]
+    assert np.concatenate([deepest for _, deepest in runs]).tolist() == want
+    assert np.array_equal(hist, np.bincount(want, minlength=max_depth + 1))
+    assert hist[max_depth] > 0
+
+
 class TestSimulateFirework:
     def test_first_site_probability(self):
         spec = HazardSpec(0.7, 0.3)
