@@ -24,22 +24,28 @@ import numpy as np
 
 from .distributions import HazardSpec, TreeParams, check_degree
 from .errors import ActivationCapError, ParameterError
-from .rng import (
-    replicate_key,
-    replicate_key_range,
-    replicate_keys,
-    uniform,
-    uniform_matrix,
-    uniforms,
-)
+from .rng import replicate_key, replicate_key_range, uniform, uniform_matrix, uniforms
 
 _DEFAULT_CAP = 10_000_000
 # replicates per pass of the level engine; bounds its memory whatever the run size
 _BLOCK = 4096
+# replicates per pass of the line engine, set by timing 10^5 replicates x 200
+# sites.  A pass makes a few numpy calls per site, so 8192 took 1.2x as long
+# as 12288 at q = 0.25, where the frontier dies out early.  From 13312 up, a
+# wide frontier (q = 0.9) page-faults ~10^4-10^5 times per call, apparently
+# because the allocator no longer reuses the freed per-site temporaries;
+# 16384 took 1.2x as long there.
+_LINE_BLOCK = 12288
 _SEED_MAX = 2**64
 # uniform() reduces entity keys mod 2^64, so vertices numbered v and
 # v + 2^64 would share every draw
 _KEY_SPACE = 2**64
+
+
+def _key_blocks(seed: int, replicates: int, block: int):
+    """Base keys of replicates 0..replicates-1 in consecutive blocks of `block`."""
+    for start in range(0, replicates, block):
+        yield replicate_key_range(seed, start, min(start + block, replicates))
 
 
 def _check_run(replicates: int, seed: int, n: int = 1) -> None:
@@ -215,10 +221,7 @@ def simulate_frog(config: FrogSimConfig) -> SimOutcome:
     if bases[max_depth + 1] <= config.activation_cap:
         thresholds = _reach_thresholds(c, d * q, max_depth)
         block = min(_BLOCK, _KEY_SPACE // (bases[max_depth + 1] - bases[max_depth]))
-        for start in range(0, config.replicates, block):
-            keys = replicate_key_range(
-                config.seed, start, min(start + block, config.replicates)
-            )
+        for keys in _key_blocks(config.seed, config.replicates, block):
             deepest = _frog_levels(keys, d, thresholds, max_depth, bases)
             hist += np.bincount(deepest, minlength=max_depth + 1)
     else:
@@ -361,26 +364,29 @@ def simulate_firework(spec: HazardSpec, n: int, replicates: int, seed: int) -> S
     Radii are inverse transforms of per-(replicate, site) uniforms, so
     two runs sharing a seed are coupled monotonically in q.
 
-    One pass over the sites keeps only the replicates whose informed
-    prefix reaches the current site and draws the next radius for those
-    alone; it stops once none remain, so memory is O(replicates + n).
-    The result is bit-identical to ``_informed_counts`` on the full
-    radius matrix, which ``estimate_branch_hit`` still builds.
+    The replicates run in consecutive blocks of _LINE_BLOCK.  One pass of
+    a block over the sites keeps only the replicates whose informed prefix
+    reaches the current site and draws the next radius for those alone;
+    it stops once none remain, and adds its survivors per site into
+    branch_hits.  Memory is therefore O(block + n), whatever the replicate
+    count.  Every draw is keyed, so the result is bit-identical to
+    ``_informed_counts`` on the full radius matrix, which
+    ``estimate_branch_hit`` still builds.
     """
     _check_run(replicates, seed, n)
     c, q = spec.c, spec.q
-    keys = replicate_keys(seed, replicates)
-    reach = _radii_from_uniforms(uniforms(keys, 0, 0), c, q)  # max of i + D_i so far
     hits = np.zeros(n + 1, dtype=np.int64)
-    hits[0] = replicates
-    for j in range(1, n + 1):
-        informed = reach >= j
-        keys, reach = keys[informed], reach[informed]
-        hits[j] = keys.size
-        if keys.size == 0:
-            break
-        if j < n:
-            reach = np.maximum(reach, j + _radii_from_uniforms(uniforms(keys, j, 0), c, q))
+    for keys in _key_blocks(seed, replicates, _LINE_BLOCK):
+        hits[0] += keys.size
+        reach = _radii_from_uniforms(uniforms(keys, 0, 0), c, q)  # max of i + D_i so far
+        for j in range(1, n + 1):
+            informed = reach >= j
+            keys, reach = keys[informed], reach[informed]
+            hits[j] += keys.size
+            if keys.size == 0:
+                break
+            if j < n:
+                reach = np.maximum(reach, j + _radii_from_uniforms(uniforms(keys, j, 0), c, q))
     # the informed set is a prefix: exactly hits[k] - hits[k + 1] stop at site k
     depth_hist = hits - np.append(hits[1:], 0)
     return SimOutcome(

@@ -3,6 +3,7 @@ the agreement of the two tree engines, and the round trip of the
 visit-probability map r(p)."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from frogcrit import (  # noqa: E402
     simulate_firework,
     simulate_frog,
 )
+from frogcrit import simulator  # noqa: E402
 from frogcrit.simulator import _level_bases  # noqa: E402
 
 scales = st.floats(min_value=0.0, max_value=1.0, exclude_min=True)  # c in (0, 1]
@@ -45,6 +47,23 @@ def test_hits_are_monotone_in_q_and_in_c(c, q, dc, dq, n, replicates, seed):
     more_c = simulate_firework(HazardSpec(c_hi, q), n, replicates, seed).branch_hits
     assert np.all(more_q >= base)
     assert np.all(more_c >= base)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    c=scales, q=ratios, n=st.integers(1, 40), block=st.sampled_from([1, 7, 4096]),
+    seed=st.integers(0, 2**64 - 1), data=st.data(),
+)
+def test_line_block_size_does_not_change_the_outcome(c, q, n, block, seed, data):
+    """Blocks partition the replicates and every draw is keyed, so any block
+    size gives the counts of the default block, which covers these runs whole."""
+    replicates = data.draw(st.integers(1, 3 * block + 40), label="replicates")
+    spec = HazardSpec(c, q)
+    whole = simulate_firework(spec, n, replicates, seed)
+    with mock.patch.object(simulator, "_LINE_BLOCK", block):
+        blocked = simulate_firework(spec, n, replicates, seed)
+    assert np.array_equal(blocked.branch_hits, whole.branch_hits)
+    assert np.array_equal(blocked.reached_depth, whole.reached_depth)
 
 
 def _reach_fractions(d, c, q, max_depth, replicates, seed):

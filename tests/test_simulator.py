@@ -1,6 +1,7 @@
 """Tests for the Monte Carlo engines against exact laws and recursions."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -24,6 +25,7 @@ from frogcrit import simulator
 from frogcrit.rng import replicate_key, replicate_keys, uniform, uniform_matrix, uniforms
 from frogcrit.simulator import (
     _BLOCK,
+    _LINE_BLOCK,
     _frog_levels,
     _frog_replicate,
     _informed_counts,
@@ -403,6 +405,56 @@ class TestFrontierEngine:
         assert not hits[last + 1 :].any()
         assert not outcome.reached_depth[last + 1 :].any()
         assert outcome.reached_depth[last] == hits[last]
+
+
+class TestLineBlocks:
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    @pytest.mark.parametrize("c, q", [(1.0, 0.25), (1.0, 0.9)])
+    @pytest.mark.parametrize("n", [1, 200])
+    def test_bit_equal_to_the_matrix_pipeline_across_block_ends(self, n, c, q, seed):
+        """One replicate short of a block, a full block, one over, two and a bit."""
+        spec = HazardSpec(c, q)
+        for replicates in (_LINE_BLOCK - 1, _LINE_BLOCK, _LINE_BLOCK + 1, 2 * _LINE_BLOCK + 3):
+            outcome = simulate_firework(spec, n, replicates, seed)
+            hits, depth_hist = _matrix_line(spec, n, replicates, seed)
+            assert np.array_equal(outcome.branch_hits, hits)
+            assert np.array_equal(outcome.reached_depth, depth_hist)
+
+
+def _traced_peak_mib(engine, *args) -> float:
+    tracemalloc.start()
+    try:
+        engine(*args)
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemoryIsSetByTheBlock:
+    """Peak traced memory must not grow with the replicate count."""
+
+    @staticmethod
+    def _assert_flat(small, large):
+        assert large - small <= 0.25, (small, large)
+        assert large < 2.0, large
+
+    def test_line_engine(self):
+        spec = HazardSpec(1.0, 0.25)
+        self._assert_flat(
+            _traced_peak_mib(simulate_firework, spec, 200, 10**5, 9),
+            _traced_peak_mib(simulate_firework, spec, 200, 10**6, 9),
+        )
+
+    def test_level_engine_at_the_benchmark_shape(self):
+        def config(replicates):
+            return FrogSimConfig(
+                params=TreeParams(2, 1.0, 0.35), max_depth=12, replicates=replicates, seed=9
+            )
+
+        self._assert_flat(
+            _traced_peak_mib(simulate_frog, config(30_000)),
+            _traced_peak_mib(simulate_frog, config(120_000)),
+        )
 
 
 class TestEstimateBranchHit:
