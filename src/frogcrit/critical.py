@@ -286,20 +286,10 @@ def p_of_r(d: int, r: float) -> float:
 def original_frog_upper(d: int) -> ModelBounds:
     """Upper bound for the free random-walk model on the undirected tree.
 
-    The coupling uses c = 1 and q = r(p): d = 2 routes through the
-    numerical inversion, d >= 3 through the closed form, which is the
-    image of the explicit q_c upper bound under p_of_r.
+    The coupling uses c = 1 and q = r(p), so the bound is p_of_r of the
+    explicit q_c upper bound (the c2 inversion at d = 2).
     """
-    check_degree(d)
-    if d == 2:
-        upper = p_of_r(2, _explicit_upper(2, 1.0))
-    else:
-        # (d+1)(a - s) / (d a^2 - 7d + 2 - d a s) with s = sqrt(a^2 - 14);
-        # both a - s terms evaluated as 14/(a + s) to avoid cancellation
-        a = 7.0 * d - 1.0
-        s = math.sqrt(a * a - 14.0)
-        a_minus_s = 14.0 / (a + s)
-        upper = (d + 1.0) * a_minus_s / (d * a * a_minus_s - 7.0 * d + 2.0)
+    upper = p_of_r(d, _explicit_upper(d, 1.0))  # _explicit_upper checks d
     return ModelBounds(model=Model.ORIGINAL_FROG, d=d, lower=None, upper=upper)
 
 

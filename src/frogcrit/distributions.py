@@ -13,16 +13,11 @@ truncations carry explicit analytic tail bounds derived from the
 geometric majorant f_k <= c q^k; no truncation index is hard-coded.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ParameterError
-
-# switch to summed log1p accumulation near the domain edge, where long
-# direct products accumulate more rounding error
-_LOG_SWITCH = 0.9
 
 
 @dataclass(frozen=True)
@@ -81,28 +76,13 @@ class TreeParams:
         return HazardSpec(self.c, self.q)
 
 
-def _one_minus_product(a: float, x: float, k: int) -> float:
-    """prod_{i=0}^{k-1} (1 - a * x^i), with log1p accumulation near x = 1."""
-    if k == 0:
-        return 1.0
-    t = a
-    if x > _LOG_SWITCH:
-        s = 0.0
-        for _ in range(k):
-            s += math.log1p(-t)
-            t *= x
-        return math.exp(s)
-    p = 1.0
-    for _ in range(k):
-        p *= 1.0 - t
-        t *= x
-    return p
-
-
 def pochhammer(a: float, x: float, k: int) -> float:
     """Finite product prod_{i=0}^{k-1} (1 - a * x^i); 1 for k = 0.
 
     Requires 0 <= a < 1 and 0 <= x < 1 so every factor lies in (0, 1].
+    The factors are multiplied directly, also for x near 1, where summed
+    log1p terms are less accurate.  interarrival_pmf, interarrival_survival
+    and defect_mass all evaluate their products here.
     """
     if not 0.0 <= a < 1.0:
         raise ParameterError(f"a must be in [0, 1), got {a}")
@@ -110,21 +90,26 @@ def pochhammer(a: float, x: float, k: int) -> float:
         raise ParameterError(f"x must be in [0, 1), got {x}")
     if k < 0:
         raise ParameterError(f"k must be >= 0, got {k}")
-    return _one_minus_product(a, x, k)
+    p = 1.0
+    t = a
+    for _ in range(k):
+        p *= 1.0 - t
+        t *= x
+    return p
 
 
 def interarrival_pmf(spec: HazardSpec, k: int) -> float:
     """Gap probability f_k = c q^k * prod_{i=1}^{k-1}(1 - c q^i), k >= 1."""
     if k < 1:
         raise ParameterError(f"k must be >= 1, got {k}")
-    return spec.c * spec.q**k * _one_minus_product(spec.c * spec.q, spec.q, k - 1)
+    return spec.c * spec.q**k * pochhammer(spec.c * spec.q, spec.q, k - 1)
 
 
 def interarrival_survival(spec: HazardSpec, n: int) -> float:
     """P(T >= n) = prod_{i=1}^{n-1}(1 - c q^i); equals 1 at n = 1."""
     if n < 1:
         raise ParameterError(f"n must be >= 1, got {n}")
-    return _one_minus_product(spec.c * spec.q, spec.q, n - 1)
+    return pochhammer(spec.c * spec.q, spec.q, n - 1)
 
 
 def defect_mass(spec: HazardSpec, tol: float = 1e-12) -> float:
@@ -141,26 +126,22 @@ def defect_mass(spec: HazardSpec, tol: float = 1e-12) -> float:
     K = 1
     while c * q ** (K + 1) / ((1.0 - q) * (1.0 - c * q ** (K + 1))) > tol:
         K += 1
-    return _one_minus_product(c * q, q, K)
+    return pochhammer(c * q, q, K)
 
 
 def pmf_sequence(spec: HazardSpec, n: int) -> np.ndarray:
-    """Array of gap probabilities f_1..f_n (index 0 unused, set to 0)."""
+    """Array of gap probabilities f_1..f_n (index 0 unused, set to 0).
+
+    The survival product runs along k as in pochhammer, one factor per step.
+    """
     if n < 0:
         raise ParameterError(f"n must be >= 0, got {n}")
     c, q = spec.c, spec.q
     out = np.zeros(n + 1)
     qk = q
-    if q > _LOG_SWITCH:
-        log_surv = 0.0
-        for k in range(1, n + 1):
-            out[k] = c * qk * math.exp(log_surv)
-            log_surv += math.log1p(-c * qk)
-            qk *= q
-    else:
-        surv = 1.0
-        for k in range(1, n + 1):
-            out[k] = c * qk * surv
-            surv *= 1.0 - c * qk
-            qk *= q
+    surv = 1.0
+    for k in range(1, n + 1):
+        out[k] = c * qk * surv
+        surv *= 1.0 - c * qk
+        qk *= q
     return out

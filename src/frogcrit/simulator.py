@@ -107,7 +107,7 @@ class SimOutcome:
             hits = np.asarray(self.branch_hits, dtype=np.int64)
             hits.setflags(write=False)
             object.__setattr__(self, "branch_hits", hits)
-            if np.any(np.diff(hits) > 0):
+            if np.any(hits[1:] > hits[:-1]):
                 raise ParameterError("branch_hits must be nonincreasing")
 
     def reach_fractions(self) -> np.ndarray:
@@ -388,7 +388,8 @@ def simulate_firework(spec: HazardSpec, n: int, replicates: int, seed: int) -> S
             if j < n:
                 reach = np.maximum(reach, j + _radii_from_uniforms(uniforms(keys, j, 0), c, q))
     # the informed set is a prefix: exactly hits[k] - hits[k + 1] stop at site k
-    depth_hist = hits - np.append(hits[1:], 0)
+    depth_hist = hits.copy()
+    depth_hist[:-1] -= hits[1:]
     return SimOutcome(
         reached_depth=depth_hist, branch_hits=hits, replicates=replicates, seed=seed
     )

@@ -237,11 +237,21 @@ class TestModelUpperBounds:
         for d in range(2, 101):
             assert original_frog_upper(d).upper < literature_original_upper(d)
 
-    def test_original_closed_form_equals_composed_path(self):
-        """The d >= 3 closed form is p_of_r applied to the explicit bound."""
-        for d in range(3, 51):
-            composed = p_of_r(d, explicit_bounds_c3(d, 1.0)[1])
-            assert original_frog_upper(d).upper == pytest.approx(composed, abs=1e-12)
+    def test_original_matches_50_digit_oracle(self):
+        """p_of_r of the explicit bound is within 4 eps of the exact value.
+
+        Oracle: r = 7/(A + sqrt(A^2 - 14)) with A = 7d - 1, then
+        p = (d+1) r / (1 + d r^2), both at 50 digits.
+        """
+        mpmath = pytest.importorskip("mpmath")
+        eps = 2.0**-52
+        with mpmath.workdps(50):
+            for d in [*range(3, 1001), 10**4, 10**5, 10**6, 10**7]:
+                A = mpmath.mpf(7 * d - 1)
+                r = 7 / (A + mpmath.sqrt(A * A - 14))
+                want = (d + 1) * r / (1 + d * r * r)
+                got = mpmath.mpf(original_frog_upper(d).upper)
+                assert abs(got - want) <= 4 * eps * want, d
 
     def test_self_avoiding_d2(self):
         assert self_avoiding_upper(2).upper == pytest.approx(

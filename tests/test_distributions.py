@@ -51,6 +51,19 @@ class TestPochhammer:
         with pytest.raises(ParameterError):
             pochhammer(0.5, 0.5, -1)
 
+    @pytest.mark.parametrize("a, x, k", [(0.95, 0.95, 400), (0.495, 0.99, 2000)])
+    def test_long_product_near_x_one_against_oracle(self, a, x, k):
+        """The k-factor product within 2e-14 of a 50-digit product of the same floats."""
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            want = mpmath.mpf(1)
+            t = mpmath.mpf(a)
+            for _ in range(k):
+                want *= 1 - t
+                t *= x
+            got = mpmath.mpf(pochhammer(a, x, k))
+            assert abs(got - want) <= 2e-14 * want
+
     def test_nonincreasing_in_k_and_a(self):
         xs = [0.1, 0.5, 0.9, 0.97]
         for x in xs:
@@ -140,8 +153,8 @@ class TestDefectMass:
             DEFECT_C1_Q05, abs=1e-12
         )
 
-    def test_log_accumulation_branch(self):
-        # q > 0.9 takes the summed-log path; cross-check against mpmath
+    def test_long_product_near_q_one(self):
+        # defect_mass multiplies about 640 factors at q = 0.95; cross-check against mpmath
         mp = pytest.importorskip("mpmath")
         mp.mp.dps = 40
         want = mp.mpf(1)
@@ -192,6 +205,21 @@ def test_pmf_sequence_matches_pointwise():
         seq = pmf_sequence(spec, 60)
         for k in range(1, 61):
             assert seq[k] == pytest.approx(interarrival_pmf(spec, k), rel=1e-12)
+
+
+@pytest.mark.parametrize("c, q, n", [(1.0, 0.95, 400), (0.5, 0.99, 2000)])
+def test_pmf_sequence_near_q_one_against_oracle(c, q, n):
+    """Every f_k within 2e-14 of a 50-digit evaluation from the same float c and q."""
+    mpmath = pytest.importorskip("mpmath")
+    got = pmf_sequence(HazardSpec(c, q), n)
+    with mpmath.workdps(50):
+        C, Q = mpmath.mpf(c), mpmath.mpf(q)
+        surv, qk = mpmath.mpf(1), Q
+        for k in range(1, n + 1):
+            want = C * qk * surv
+            assert abs(mpmath.mpf(got[k]) - want) <= 2e-14 * want, k
+            surv *= 1 - C * qk
+            qk *= Q
 
 
 def test_math_module_consistency():

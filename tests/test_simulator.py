@@ -445,6 +445,12 @@ class TestMemoryIsSetByTheBlock:
             _traced_peak_mib(simulate_firework, spec, 200, 10**6, 9),
         )
 
+    def test_long_line_keeps_one_extra_per_site_array(self):
+        # branch_hits and reached_depth are n+1 int64 each; a third such array exceeds the bound
+        n = 10**6
+        peak_bytes = _traced_peak_mib(simulate_firework, HazardSpec(1.0, 0.25), n, 1000, 9) * 2**20
+        assert peak_bytes <= 2.5 * 8 * (n + 1)
+
     def test_level_engine_at_the_benchmark_shape(self):
         def config(replicates):
             return FrogSimConfig(
