@@ -154,6 +154,7 @@ def _cmd_simulate(args, out) -> int:
         params=params, max_depth=args.max_depth,
         replicates=args.replicates, seed=args.seed, activation_cap=args.cap,
     )
+    verdict = growth_classifier(args.d, params.hazard_spec, args.horizon)
     outcome = simulate_frog(config)
     fractions = outcome.reach_fractions()
     header = ["depth", "count", "reach_fraction"]
@@ -161,7 +162,6 @@ def _cmd_simulate(args, out) -> int:
         [k, int(outcome.reached_depth[k]), float(fractions[k])]
         for k in range(args.max_depth + 1)
     ]
-    verdict = growth_classifier(args.d, params.hazard_spec, args.horizon)
     notes = [f"growth classification (horizon {args.horizon}): {verdict.value}"]
     _emit("frog.v1", header, rows, args.format, out, notes=notes)
     return 0

@@ -24,6 +24,8 @@ import numpy as np
 
 from .distributions import HazardSpec, TreeParams, check_degree
 from .errors import ActivationCapError, ParameterError
+# uniform_matrix and _informed_counts stay only as the tests' matrix reference
+# and as names bench/tracing.py patches, until the tracer reads counters
 from .rng import replicate_key, replicate_key_range, uniform, uniform_matrix, uniforms
 
 _DEFAULT_CAP = 10_000_000
@@ -36,9 +38,8 @@ _BLOCK = 4096
 # because the allocator no longer reuses the freed per-site temporaries;
 # 16384 took 1.2x as long there.
 _LINE_BLOCK = 12288
-_SEED_MAX = 2**64
-# uniform() reduces entity keys mod 2^64, so vertices numbered v and
-# v + 2^64 would share every draw
+# the rng reduces every key mod 2^64, so seeds s and s + 2^64, or vertices
+# numbered v and v + 2^64, would share every draw
 _KEY_SPACE = 2**64
 
 
@@ -54,7 +55,7 @@ def _check_run(replicates: int, seed: int, n: int = 1) -> None:
         raise ParameterError(f"n must be >= 1, got {n}")
     if replicates < 1:
         raise ParameterError(f"replicates must be >= 1, got {replicates}")
-    if not 0 <= seed < _SEED_MAX:
+    if not 0 <= seed < _KEY_SPACE:
         raise ParameterError(f"seed must be a 64-bit unsigned integer, got {seed}")
 
 
@@ -357,28 +358,19 @@ def _informed_counts(radii: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]
     return hits, depth_hist
 
 
-def simulate_firework(spec: HazardSpec, n: int, replicates: int, seed: int) -> SimOutcome:
-    """Line spreading from site 0 with i.i.d. radii P(D >= k) = c q^k.
+def _line_hits(seed: int, replicates: int, n: int, radius) -> np.ndarray:
+    """hits[k] = replicates whose informed prefix of the line reaches site k.
 
-    branch_hits[k] / replicates estimates the renewal probability u_k.
-    Radii are inverse transforms of per-(replicate, site) uniforms, so
-    two runs sharing a seed are coupled monotonically in q.
-
-    The replicates run in consecutive blocks of _LINE_BLOCK.  One pass of
-    a block over the sites keeps only the replicates whose informed prefix
-    reaches the current site and draws the next radius for those alone;
-    it stops once none remain, and adds its survivors per site into
-    branch_hits.  Memory is therefore O(block + n), whatever the replicate
-    count.  Every draw is keyed, so the result is bit-identical to
-    ``_informed_counts`` on the full radius matrix, which
-    ``estimate_branch_hit`` still builds.
+    radius(keys, site) draws the site's radii for the replicates keyed by
+    `keys`.  Each block of _LINE_BLOCK replicates walks the sites, drawing
+    radii only for replicates whose prefix reaches the site, so memory is
+    O(block + n).  Every draw is keyed: hits equal ``_informed_counts`` on
+    the full radius matrix, whatever the block size.
     """
-    _check_run(replicates, seed, n)
-    c, q = spec.c, spec.q
     hits = np.zeros(n + 1, dtype=np.int64)
     for keys in _key_blocks(seed, replicates, _LINE_BLOCK):
         hits[0] += keys.size
-        reach = _radii_from_uniforms(uniforms(keys, 0, 0), c, q)  # max of i + D_i so far
+        reach = radius(keys, 0)  # max of i + D_i over informed i so far
         for j in range(1, n + 1):
             informed = reach >= j
             keys, reach = keys[informed], reach[informed]
@@ -386,7 +378,24 @@ def simulate_firework(spec: HazardSpec, n: int, replicates: int, seed: int) -> S
             if keys.size == 0:
                 break
             if j < n:
-                reach = np.maximum(reach, j + _radii_from_uniforms(uniforms(keys, j, 0), c, q))
+                reach = np.maximum(reach, j + radius(keys, j))
+    return hits
+
+
+def simulate_firework(spec: HazardSpec, n: int, replicates: int, seed: int) -> SimOutcome:
+    """Line spreading from site 0 with i.i.d. radii P(D >= k) = c q^k.
+
+    branch_hits[k] / replicates estimates the renewal probability u_k.
+    Radii are inverse transforms of per-(replicate, site) uniforms, so
+    two runs sharing a seed are coupled monotonically in q.  _line_hits
+    propagates them in blocks, so memory is O(block + n).
+    """
+    _check_run(replicates, seed, n)
+
+    def radius(keys, site):
+        return _radii_from_uniforms(uniforms(keys, site, 0), spec.c, spec.q)
+
+    hits = _line_hits(seed, replicates, n, radius)
     # the informed set is a prefix: exactly hits[k] - hits[k + 1] stop at site k
     depth_hist = hits.copy()
     depth_hist[:-1] -= hits[1:]
@@ -403,18 +412,14 @@ def estimate_branch_hit(params: TreeParams, n: int, replicates: int, seed: int) 
     (P >= m: c (d q)^m) and its first off-branch turn (P >= m: d^-m),
     which compounds to the line law c q^m.  Statistically matches
     ``simulate_firework`` on (c, q) while sampling through a different
-    factorization.
+    factorization; both propagate through _line_hits.
     """
     _check_run(replicates, seed, n)
-    d, c, q = params.d, params.c, params.q
-    dq = d * q
-    u_reach = uniform_matrix(seed, replicates, n, draw=1)
-    u_turn = uniform_matrix(seed, replicates, n, draw=2)
-    if dq >= 1.0:
-        reach = np.where(u_reach <= c, np.inf, 0.0)
-    else:
-        reach = _radii_from_uniforms(u_reach, c, dq)
-    on_branch = np.floor(np.log(u_turn) / -np.log(d))
-    radii = np.minimum(reach, on_branch)
-    hits, _ = _informed_counts(radii, n)
-    return hits[n] / replicates
+    d, c, dq = params.d, params.c, params.d * params.q
+
+    def radius(keys, site):
+        u = uniforms(keys, site, 1)
+        reach = np.where(u <= c, np.inf, 0.0) if dq >= 1.0 else _radii_from_uniforms(u, c, dq)
+        return np.minimum(reach, np.floor(np.log(uniforms(keys, site, 2)) / -np.log(d)))
+
+    return _line_hits(seed, replicates, n, radius)[n] / replicates

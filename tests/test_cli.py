@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import frogcrit
-from frogcrit import ParameterError
+from frogcrit import ParameterError, cli
 from frogcrit.cli import main, parse_d_list
 
 from reference_tables import TABLE_CONE, TABLE_DEGREES
@@ -280,6 +280,19 @@ class TestSimulateCommand:
         assert "2^64" in err
         code, _, err = run_cli(args + ["19"], capsys)
         assert (code, err) == (0, "")
+
+    def test_frog_rejects_a_bad_horizon_before_simulating(self, monkeypatch, capsys):
+        def spy(config):
+            raise AssertionError("simulate_frog ran before --horizon was checked")
+
+        monkeypatch.setattr(cli, "simulate_frog", spy)
+        code, out, err = run_cli(
+            ["simulate", "frog", "--d", "2", "--c", "1", "--q", "0.35",
+             "--max-depth", "12", "--replicates", "300000", "--seed", "1", "--horizon", "0"],
+            capsys,
+        )
+        assert (code, out) == (2, "")
+        assert "N must be >= 1, got 0" in err
 
     def test_frog_long_horizon_writes_no_warning(self):
         """A supercritical classification stops before d^n u_n can overflow."""

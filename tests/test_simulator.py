@@ -381,6 +381,21 @@ def _matrix_line(spec: HazardSpec, n: int, replicates: int, seed: int):
     return _informed_counts(radii, n)
 
 
+def _matrix_branch_hit(params: TreeParams, n: int, replicates: int, seed: int) -> float:
+    """estimate_branch_hit as reach and off-branch-turn matrices, then one prefix scan."""
+    d, c, q = params.d, params.c, params.q
+    dq = d * q
+    u_reach = uniform_matrix(seed, replicates, n, draw=1)
+    u_turn = uniform_matrix(seed, replicates, n, draw=2)
+    if dq >= 1.0:
+        reach = np.where(u_reach <= c, np.inf, 0.0)
+    else:
+        reach = _radii_from_uniforms(u_reach, c, dq)
+    on_branch = np.floor(np.log(u_turn) / -np.log(d))
+    hits, _ = _informed_counts(np.minimum(reach, on_branch), n)
+    return hits[n] / replicates
+
+
 class TestFrontierEngine:
     @pytest.mark.parametrize("seed", [0, 2**64 - 1])
     @pytest.mark.parametrize("c, q", [(1.0, 0.25), (1.0, 0.6), (1.0, 0.9), (0.5, 0.95), (0.3, 0.05)])
@@ -420,6 +435,16 @@ class TestLineBlocks:
             assert np.array_equal(outcome.branch_hits, hits)
             assert np.array_equal(outcome.reached_depth, depth_hist)
 
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    @pytest.mark.parametrize("params", [TreeParams(2, 1.0, 0.25), TreeParams(2, 0.5, 0.5)],
+                             ids=["dq<1", "dq=1"])
+    @pytest.mark.parametrize("n", [1, 12])
+    def test_branch_hit_bit_equal_to_the_matrix_pipeline_across_block_ends(self, n, params, seed):
+        for replicates in (_LINE_BLOCK - 1, _LINE_BLOCK, _LINE_BLOCK + 1, 2 * _LINE_BLOCK + 3):
+            assert estimate_branch_hit(params, n, replicates, seed) == _matrix_branch_hit(
+                params, n, replicates, seed
+            )
+
 
 def _traced_peak_mib(engine, *args) -> float:
     tracemalloc.start()
@@ -443,6 +468,11 @@ class TestMemoryIsSetByTheBlock:
         self._assert_flat(
             _traced_peak_mib(simulate_firework, spec, 200, 10**5, 9),
             _traced_peak_mib(simulate_firework, spec, 200, 10**6, 9),
+        )
+        params = TreeParams(2, 1.0, 0.25)
+        self._assert_flat(
+            _traced_peak_mib(estimate_branch_hit, params, 20, 10**4, 9),
+            _traced_peak_mib(estimate_branch_hit, params, 20, 10**5, 9),
         )
 
     def test_long_line_keeps_one_extra_per_site_array(self):
