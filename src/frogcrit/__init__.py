@@ -47,7 +47,6 @@ from .renewal import (
 from .simulator import (
     FrogSimConfig,
     SimOutcome,
-    VertexId,
     estimate_branch_hit,
     simulate_firework,
     simulate_frog,

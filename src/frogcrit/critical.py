@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass, fields
 from enum import Enum
 
-from .distributions import HazardSpec, check_degree
+from .distributions import HazardSpec, check_degree, check_tol
 from .errors import BracketError, ParameterError
 from .renewal import _bisect, _generating_function, _series_exceeds_one
 
@@ -102,8 +102,7 @@ def solve_qc(d: int, c: float, tol: float = 1e-12) -> CriticalResult:
     tighter series tolerance than the solve itself.
     """
     _validate_dc(d, c)
-    if tol <= 0.0:
-        raise ParameterError(f"tol must be > 0, got {tol}")
+    check_tol(tol)
     edge = 1.0 / d
     grid = [edge * j / (_SCAN_POINTS + 1) for j in range(1, _SCAN_POINTS + 1)]
     signs = [_series_exceeds_one(c, q, d) for q in grid]
@@ -207,8 +206,7 @@ def invert_bounds_c2(d: int, c: float, tol: float = 1e-12) -> tuple[float, float
     d = 40, c = 0.02).  At c = 1 the bracket holds.
     """
     _validate_dc(d, c)
-    if tol <= 0.0:
-        raise ParameterError(f"tol must be > 0, got {tol}")
+    check_tol(tol)
     eps = 1e-12
     # discriminant-valid endpoints, clipped into (0, 1)
     m = (c + 1.0) ** 2 / (4.0 * c * c)

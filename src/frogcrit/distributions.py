@@ -13,6 +13,7 @@ truncations carry explicit analytic tail bounds derived from the
 geometric majorant f_k <= c q^k; no truncation index is hard-coded.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +45,12 @@ def check_degree(d) -> None:
     """Raise ParameterError unless the tree degree d is an integer >= 2."""
     if not isinstance(d, int) or d < 2:
         raise ParameterError(f"d must be an integer >= 2, got {d}")
+
+
+def check_tol(tol) -> None:
+    """Raise ParameterError unless the tolerance tol lies in (0, inf); nan fails too."""
+    if not 0.0 < tol < math.inf:
+        raise ParameterError(f"tol must be in (0, inf), got {tol}")
 
 
 @dataclass(frozen=True)
@@ -120,8 +127,7 @@ def defect_mass(spec: HazardSpec, tol: float = 1e-12) -> float:
     which also bounds the absolute truncation error since the partial
     product is at most 1.
     """
-    if tol <= 0.0:
-        raise ParameterError(f"tol must be > 0, got {tol}")
+    check_tol(tol)
     c, q = spec.c, spec.q
     K = 1
     while c * q ** (K + 1) / ((1.0 - q) * (1.0 - c * q ** (K + 1))) > tol:

@@ -16,7 +16,7 @@ from enum import Enum
 
 import numpy as np
 
-from .distributions import HazardSpec, check_degree, pmf_sequence
+from .distributions import HazardSpec, check_degree, check_tol, pmf_sequence
 from .errors import BracketError, ParameterError
 
 _MAX_BISECT = 200
@@ -114,8 +114,7 @@ def _generating_function(c: float, q: float, alpha: float, tol: float) -> tuple[
     """(F(alpha), terms used) for the hazard law (c, q); G(q) at alpha = d."""
     if alpha < 1.0:
         raise ParameterError(f"alpha must be >= 1, got {alpha}")
-    if tol <= 0.0:
-        raise ParameterError(f"tol must be > 0, got {tol}")
+    check_tol(tol)
     aq = alpha * q
     if aq >= 1.0:
         raise ParameterError(
@@ -188,8 +187,7 @@ def convergence_rate(spec: HazardSpec, tol: float = 1e-12) -> RateResult:
     up at the radius of convergence 1/q, so a root always exists; F is
     strictly increasing, so it is unique.
     """
-    if tol <= 0.0:
-        raise ParameterError(f"tol must be > 0, got {tol}")
+    check_tol(tol)
     c, q = spec.c, spec.q
     lo = 1.0 + 1e-12
     hi = 1.0 / q - 1e-12
@@ -263,8 +261,9 @@ def growth_classifier(d: int, spec: HazardSpec, N: int) -> Growth:
 
     Supercritical as soon as some d^n u_n exceeds 1: the recursion stops
     at that n, so it never runs into the overflow of growth_sequence.
-    Subcritical when the trailing quarter of the horizon is strictly
-    decreasing below 1 with ratio bounded away from 1.  Indeterminate
+    Subcritical when the trailing quarter of the horizon, and never fewer
+    than two values of it, is strictly decreasing below 1 with ratio
+    bounded away from 1; at N = 1 those are v_0 = 1 and v_1.  Indeterminate
     otherwise (the near-critical regime at finite horizon).  The
     sequence is growth_sequence's, truncated gaps included.
     """
@@ -274,7 +273,7 @@ def growth_classifier(d: int, spec: HazardSpec, N: int) -> Growth:
     if v[-1] > 1.0:
         return Growth.SUPERCRITICAL
     window = max(2, N // 4)
-    tail = v[N - window :]
+    tail = v[max(0, N - window) :]
     decreasing = np.all(tail[1:] <= (1.0 - _RATIO_MARGIN) * tail[:-1])
     if np.all(tail < 1.0) and decreasing:
         return Growth.SUBCRITICAL

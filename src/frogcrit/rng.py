@@ -47,11 +47,6 @@ def _finalize_u64(z: np.ndarray) -> np.ndarray:
     return z ^ (z >> np.uint64(31))
 
 
-def replicate_keys(seed: int, replicates: int) -> np.ndarray:
-    """uint64 base keys ``replicate_key(seed, r)`` for r = 0..replicates-1."""
-    return replicate_key_range(seed, 0, replicates)
-
-
 def replicate_key_range(seed: int, start: int, stop: int) -> np.ndarray:
     """uint64 base keys ``replicate_key(seed, r)`` for r = start..stop-1."""
     h0 = np.uint64(_finalize((seed + _GOLDEN) & _MASK))
@@ -79,5 +74,5 @@ def uniform_matrix(seed: int, replicates: int, entities: int, draw: int) -> np.n
     Bit-identical to calling ``uniform(replicate_key(seed, r), e, draw)``
     for every pair (r, e), but vectorized.
     """
-    keys = replicate_keys(seed, replicates)[:, None]
+    keys = replicate_key_range(seed, 0, replicates)[:, None]
     return uniforms(keys, np.arange(entities, dtype=np.uint64)[None, :], draw)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import HazardSpec, TreeParams, check_degree
+from .distributions import HazardSpec, TreeParams
 from .errors import ActivationCapError, ParameterError
 # uniform_matrix and _informed_counts stay only as the tests' matrix reference
 # and as names bench/tracing.py patches, until the tracer reads counters
@@ -117,35 +117,6 @@ class SimOutcome:
         return tail / float(self.replicates)
 
 
-@dataclass(frozen=True)
-class VertexId:
-    """Tree vertex addressed by its child-index path from the root.
-
-    The root has d + 1 children (indices 0..d), every other vertex has d
-    (indices 0..d-1).
-    """
-
-    path: tuple[int, ...]
-
-    @property
-    def depth(self) -> int:
-        return len(self.path)
-
-    def number(self, d: int) -> int:
-        """Canonical breadth-first index, used as the RNG entity key."""
-        check_degree(d)
-        bases = _level_bases(d, len(self.path))
-        num = 0
-        for depth, child in enumerate(self.path):
-            fanout = d + 1 if depth == 0 else d
-            if not 0 <= child < fanout:
-                raise ParameterError(
-                    f"child index {child} out of range 0..{fanout - 1} at depth {depth}"
-                )
-            num = _child_number(num, depth, child, d, bases)
-        return num
-
-
 def _level_bases(d: int, levels: int) -> list[int]:
     # bases[l] = number of vertices at depth < l
     bases = [0, 1]
@@ -162,9 +133,10 @@ def _first_aliased_depth(d: int) -> int:
     return next(depth for depth in range(65) if bases[depth + 1] - 1 >= _KEY_SPACE)
 
 
-def _child_number(v: int, depth: int, child: int, d: int, bases) -> int:
-    if v == 0:
-        return 1 + child
+def _child_number(v, depth: int, child, d: int, bases):
+    # breadth-first number of child `child` of vertex v at `depth`, on ints or
+    # on uint64 arrays with np.uint64 bases; bases[1] = 1 numbers the root's
+    # children 1..d+1.  Every random draw of a tree vertex is keyed by it.
     return bases[depth + 1] + (v - bases[depth]) * d + child
 
 
@@ -267,8 +239,7 @@ def _frog_levels(keys, d, thresholds, max_depth, bases) -> np.ndarray:
         fanout = d + 1 if depth == 0 else d
         choice = (uniforms(keys[rep], cur, draw) * fanout).astype(np.uint64)
         np.minimum(choice, fanout - 1, out=choice)  # u == 1.0 endpoint
-        # _child_number in uint64; bases[1] = 1 covers the root's children
-        cur = level_start[depth + 1] + (cur - level_start[depth]) * np.uint64(d) + choice
+        cur = _child_number(cur, depth, choice, d, level_start)
         deepest[rep] = depth + 1
         # one walker per new vertex: a duplicate would repeat the same draws,
         # and its copies would multiply level after level.  The pair

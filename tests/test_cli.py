@@ -95,6 +95,15 @@ class TestQcCommand:
         assert obj["upper_c3"] is None  # undefined at d = 2
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "0"])
+@pytest.mark.parametrize("command", [["qc", "--d", "2", "--c", "1"],
+                                     ["gamma", "--c", "1", "--q", "0.3"]])
+def test_tol_outside_zero_to_inf_exits_2(command, tol, capsys):
+    code, out, err = run_cli(command + ["--tol", tol], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: tol must be in (0, inf), got {float(tol)}\n"
+
+
 class TestTableCommand:
     def test_cone_csv_matches_reference(self, capsys):
         code, out, _ = run_cli(
@@ -293,6 +302,15 @@ class TestSimulateCommand:
         )
         assert (code, out) == (2, "")
         assert "N must be >= 1, got 0" in err
+
+    def test_frog_horizon_one_is_indeterminate(self, capsys):
+        code, out, _ = run_cli(
+            ["simulate", "frog", "--d", "2", "--c", "1", "--q", "0.1", "--max-depth", "3",
+             "--replicates", "10", "--seed", "0", "--horizon", "1"],
+            capsys,
+        )
+        assert code == 0
+        assert out.endswith("growth classification (horizon 1): indeterminate\n")
 
     def test_frog_long_horizon_writes_no_warning(self):
         """A supercritical classification stops before d^n u_n can overflow."""

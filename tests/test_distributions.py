@@ -9,10 +9,15 @@ from frogcrit import (
     HazardSpec,
     ParameterError,
     TreeParams,
+    convergence_rate,
     defect_mass,
+    generating_function,
     interarrival_pmf,
     interarrival_survival,
+    invert_bounds_c2,
     pochhammer,
+    solve_qc,
+    survival_series,
 )
 from frogcrit.distributions import pmf_sequence
 
@@ -176,6 +181,24 @@ class TestDefectMass:
     def test_tol_validation(self):
         with pytest.raises(ParameterError):
             defect_mass(HazardSpec(0.5, 0.5), 0.0)
+
+
+TOL_CALLS = {
+    "solve_qc": lambda tol: solve_qc(2, 1.0, tol),
+    "invert_bounds_c2": lambda tol: invert_bounds_c2(2, 1.0, tol),
+    "survival_series": lambda tol: survival_series(2, 1.0, 0.2, tol),
+    "generating_function": lambda tol: generating_function(HazardSpec(1.0, 0.3), 2.0, tol),
+    "convergence_rate": lambda tol: convergence_rate(HazardSpec(1.0, 0.3), tol),
+    "defect_mass": lambda tol: defect_mass(HazardSpec(1.0, 0.3), tol),
+}
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, 0.0, -1e-12])
+@pytest.mark.parametrize("name", sorted(TOL_CALLS))
+def test_every_tolerance_outside_zero_to_inf_is_refused(name, tol):
+    """nan compares false with everything, so only `0 < tol < inf` refuses it."""
+    with pytest.raises(ParameterError, match=r"^tol must be in \(0, inf\), got "):
+        TOL_CALLS[name](tol)
 
 
 class TestSpecValidation:

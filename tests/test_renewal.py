@@ -110,7 +110,7 @@ def _full_sequence_rule(v: np.ndarray) -> Growth:
     N = len(v) - 1
     if np.any(v[1:] > 1.0):
         return Growth.SUPERCRITICAL
-    tail = v[N - max(2, N // 4) :]
+    tail = v[max(0, N - max(2, N // 4)) :]
     if np.all(tail < 1.0) and np.all(tail[1:] <= (1.0 - 1e-6) * tail[:-1]):
         return Growth.SUBCRITICAL
     return Growth.INDETERMINATE
@@ -379,6 +379,18 @@ class TestGrowthClassifier:
             with pytest.raises(ParameterError, match=message):
                 growth_sequence(d, spec, N)
         assert growth_classifier(d, spec, N) is Growth.SUPERCRITICAL
+
+    def test_horizon_one_judges_two_values(self):
+        """v_0 = 1 and v_1 = 0.2: one step cannot show a decrease below 1."""
+        spec = HazardSpec(1.0, 0.1)
+        assert growth_classifier(2, spec, 1) is Growth.INDETERMINATE
+        assert growth_classifier(2, spec, 2) is Growth.INDETERMINATE
+
+    @pytest.mark.parametrize("N", range(1, 9))
+    @pytest.mark.parametrize("q", [0.01, 0.1, 0.2, 0.35])
+    def test_short_horizons_follow_the_full_sequence_rule(self, q, N):
+        spec = HazardSpec(1.0, q)
+        assert growth_classifier(2, spec, N) is _full_sequence_rule(growth_sequence(2, spec, N))
 
     def test_validation(self):
         with pytest.raises(ParameterError):

@@ -6,7 +6,6 @@ import pytest
 from frogcrit.rng import (
     replicate_key,
     replicate_key_range,
-    replicate_keys,
     uniform,
     uniform_matrix,
     uniforms,
@@ -18,7 +17,7 @@ EDGE_ENTITIES = [0, 2**63, 2**64 - 1]
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_replicate_keys_match_scalar(seed):
-    keys = replicate_keys(seed, 9)
+    keys = replicate_key_range(seed, 0, 9)
     assert keys.dtype == np.uint64
     assert [int(k) for k in keys] == [replicate_key(seed, r) for r in range(9)]
     block = replicate_key_range(seed, 2046, 2051)
@@ -28,7 +27,7 @@ def test_replicate_keys_match_scalar(seed):
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("draw", [0, 1, 2])
 def test_uniforms_match_scalar_at_edge_entities(seed, draw):
-    keys = replicate_keys(seed, 6)
+    keys = replicate_key_range(seed, 0, 6)
     for entity in EDGE_ENTITIES:
         got = uniforms(keys, entity, draw)
         want = [uniform(replicate_key(seed, r), entity, draw) for r in range(6)]
@@ -36,7 +35,7 @@ def test_uniforms_match_scalar_at_edge_entities(seed, draw):
 
 
 def test_uniforms_broadcast_entities_and_draws():
-    keys = replicate_keys(41, 5)[:, None, None]
+    keys = replicate_key_range(41, 0, 5)[:, None, None]
     entities = np.array(EDGE_ENTITIES + [7], dtype=np.uint64)[None, :, None]
     draws = np.arange(3, dtype=np.uint64)[None, None, :]
     got = uniforms(keys, entities, draws)
@@ -56,7 +55,7 @@ def test_scalar_key_gives_the_scalar_value():
 @pytest.mark.parametrize("seed", [0, 2**64 - 1])
 def test_uniform_matrix_is_uniforms_over_the_grid(seed):
     mat = uniform_matrix(seed, 40, 30, 1)
-    keys = replicate_keys(seed, 40)
+    keys = replicate_key_range(seed, 0, 40)
     for j in range(30):
         assert np.array_equal(mat[:, j], uniforms(keys, j, 1))
     assert mat[39, 29] == uniform(replicate_key(seed, 39), 29, 1)

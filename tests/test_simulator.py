@@ -14,7 +14,6 @@ from frogcrit import (
     ParameterError,
     SimOutcome,
     TreeParams,
-    VertexId,
     estimate_branch_hit,
     renewal_probabilities,
     simulate_firework,
@@ -22,10 +21,12 @@ from frogcrit import (
     solve_qc,
 )
 from frogcrit import simulator
-from frogcrit.rng import replicate_key, replicate_keys, uniform, uniform_matrix, uniforms
+from frogcrit.rng import replicate_key, replicate_key_range, uniform, uniform_matrix, uniforms
 from frogcrit.simulator import (
     _BLOCK,
     _LINE_BLOCK,
+    _child_number,
+    _first_aliased_depth,
     _frog_levels,
     _frog_replicate,
     _informed_counts,
@@ -43,7 +44,7 @@ def binom_se(p: float, n: int) -> float:
 
 def reaches(params: TreeParams, seed: int, n: int, budget: int = 1000) -> list[int]:
     """Walker reaches of n replicates, each from its counter-based draw 0."""
-    u = uniforms(replicate_keys(seed, n), 0, 0)
+    u = uniforms(replicate_key_range(seed, 0, n), 0, 0)
     dq = params.d * params.q
     return [_reach_from_uniform(x, params.c, dq, budget) for x in u.tolist()]
 
@@ -68,7 +69,7 @@ class TestReachFromUniform:
         """Visiting a fixed vertex at distance 3 has probability c q^3."""
         params = TreeParams(2, 0.9, 0.3)
         n = 300_000
-        keys = replicate_keys(3, n)
+        keys = replicate_key_range(3, 0, n)
         # uniform child choices from a non-root start (draws 1..3, as in the
         # tree engine), fixed target path: child 0 at every step
         on_path = np.ones(n, dtype=bool)
@@ -96,7 +97,7 @@ class TestReachFromUniform:
         edges = [1.0]
         for t in table.tolist():
             edges += [math.nextafter(t, 0.0), t, math.nextafter(t, 1.0)]
-        u = np.concatenate((edges, uniforms(replicate_keys(6, 2000), 0, 0)))
+        u = np.concatenate((edges, uniforms(replicate_key_range(6, 0, 2000), 0, 0)))
         for budget in (0, 1, 5, max_depth):
             want = [_reach_from_uniform(x, c, dq, budget) for x in u.tolist()]
             assert _reach_from_thresholds(u, table, budget).tolist() == want
@@ -217,9 +218,10 @@ class TestSimulateFrog:
         base = replicate_key(1, 0)
         assert uniform(base, 5, 0) == uniform(base, 5 + 2**64, 0)
         for d, first in ((2, 63), (3, 40), (10, 20), (100, 10)):
-            # the last vertex of a level: every child index at its maximum
-            deepest = (d,) + (d - 1,) * (first - 1)
-            assert VertexId(deepest[:-1]).number(d) < 2**64 <= VertexId(deepest).number(d)
+            assert _first_aliased_depth(d) == first
+            # the last vertex of level L is one below the first of level L + 1
+            last = [_level_bases(d, L + 1)[L + 1] - 1 for L in (first - 1, first)]
+            assert last[0] < 2**64 <= last[1]
             params = TreeParams(d, 1.0, 0.1 / d)
             config = FrogSimConfig(params=params, max_depth=first - 1, replicates=5, seed=1)
             assert simulate_frog(config).replicates == 5
@@ -244,7 +246,7 @@ class TestLevelEngine:
     @pytest.mark.parametrize("d, c, q, max_depth", LEVEL_GRID)
     def test_matches_the_scalar_queue_replicate_by_replicate(self, d, c, q, max_depth, seed):
         bases = _level_bases(d, max_depth + 1)
-        keys = replicate_keys(seed, 500)
+        keys = replicate_key_range(seed, 0, 500)
         table = _reach_thresholds(c, d * q, max_depth)
         got = _frog_levels(keys, d, table, max_depth, bases)
         want = [
@@ -316,7 +318,7 @@ def test_level_blocks_shrink_where_the_packed_key_would_wrap(monkeypatch):
     hist = simulate_frog(config).reached_depth
     assert [keys.size for keys, _ in runs] == [block] * 40 + [3]
     keys = np.concatenate([keys for keys, _ in runs])
-    assert np.array_equal(keys, replicate_keys(seed, replicates))
+    assert np.array_equal(keys, replicate_key_range(seed, 0, replicates))
     want = [_frog_replicate(int(k), d, c, d * q, max_depth, tree, bases) for k in keys]
     assert np.concatenate([deepest for _, deepest in runs]).tolist() == want
     assert np.array_equal(hist, np.bincount(want, minlength=max_depth + 1))
@@ -561,25 +563,56 @@ def test_subnormal_scale_informs_nobody_without_warning():
         assert estimate_branch_hit(TreeParams(2, 1e-310, 0.3), 3, 10, 1) == 0.0
 
 
-class TestVertexId:
+def _path_number(path, d):
+    """Breadth-first number of the vertex reached by a child-index path."""
+    bases = _level_bases(d, len(path))
+    v = 0
+    for depth, child in enumerate(path):
+        v = _child_number(v, depth, child, d, bases)
+    return v
+
+
+class TestChildNumber:
     def test_breadth_first_numbering(self):
-        assert VertexId(()).number(2) == 0
-        assert VertexId((2,)).number(2) == 3  # root has children 1..3
+        assert _path_number((), 2) == 0
+        assert _path_number((2,), 2) == 3  # root has children 1..3
         # child 1 of vertex 3 (depth 1): level-2 block starts at 4
-        assert VertexId((2, 1)).number(2) == 4 + 2 * 2 + 1
+        assert _path_number((2, 1), 2) == 4 + 2 * 2 + 1
 
     def test_numbering_is_injective_per_level(self):
         d = 3
-        level2 = [
-            VertexId((a, b)).number(d) for a in range(d + 1) for b in range(d)
-        ]
+        level2 = [_path_number((a, b), d) for a in range(d + 1) for b in range(d)]
         assert len(set(level2)) == len(level2)
 
-    def test_child_range_validation(self):
-        with pytest.raises(ParameterError):
-            VertexId((3,)).number(2)  # root fanout is d+1 = 3, max index 2
-        with pytest.raises(ParameterError):
-            VertexId((0, 2)).number(2)  # non-root fanout is d = 2
+    @pytest.mark.parametrize("d", [2, 3, 10, 100])
+    def test_uint64_arrays_equal_the_int_form(self, d):
+        """The level engine's uint64 form, at every depth whose numbers fit in 64 bits.
+
+        Each level takes its first and last vertex, with the smallest and
+        largest child index, plus random vertices and children; the last
+        vertex's children below _first_aliased_depth(d) come near 2^64.
+        """
+        rng = np.random.default_rng(d)
+        limit = _first_aliased_depth(d)
+        bases = _level_bases(d, limit)
+        level_start = [np.uint64(b) for b in bases[: limit + 1]]
+        for depth in range(limit - 1):
+            fanout = d + 1 if depth == 0 else d
+            first, last = bases[depth], bases[depth + 1] - 1
+            v = [first, last, first, last] + [
+                int(x) for x in rng.integers(first, last, 6, endpoint=True, dtype=np.uint64)
+            ]
+            child = [0, fanout - 1, fanout - 1, 0] + rng.integers(0, fanout, 6).tolist()
+            got = _child_number(
+                np.array(v, dtype=np.uint64), depth, np.array(child, dtype=np.uint64),
+                d, level_start,
+            )
+            want = [_child_number(a, depth, b, d, bases) for a, b in zip(v, child)]
+            assert got.dtype == np.uint64
+            assert [int(x) for x in got] == want
+            assert max(want) == bases[depth + 2] - 1
+        # the deepest children checked lie within a factor d + 1 of 2^64
+        assert (bases[limit] - 1) * (d + 1) > 2**64
 
 
 class TestSimOutcome:
