@@ -120,7 +120,7 @@ def _cmd_table(args, out) -> int:
 
 def _cmd_gamma(args, out) -> int:
     spec = HazardSpec(args.c, args.q)
-    res = convergence_rate(spec, args.tol)
+    res = convergence_rate(spec)
     header = ["c", "q", "gamma", "residual", "bracket_lo", "bracket_hi", "terms"]
     row = [args.c, args.q, res.gamma, res.residual,
            res.bracket[0], res.bracket[1], res.truncation_K]
@@ -193,7 +193,6 @@ def _build_parser() -> argparse.ArgumentParser:
     gamma = sub.add_parser("gamma", help="renewal decay rate for a hazard law")
     gamma.add_argument("--c", type=float, required=True)
     gamma.add_argument("--q", type=float, required=True)
-    gamma.add_argument("--tol", type=float, default=1e-12)
     gamma.add_argument("--format", choices=_FORMATS, default="plain")
     gamma.set_defaults(func=_cmd_gamma)
 

@@ -54,7 +54,11 @@ class CriticalResult:
         # genuinely fails for c < 1 (e.g. c=1/4, q=1/10, four factors),
         # so for small enough c the root exceeds upper_c2 at every d.
         if not self.lower_c3 <= self.lower_c2 <= self.q_c:
-            raise ParameterError("lower-bound ordering violated in CriticalResult")
+            raise ParameterError(
+                f"lower-bound ordering violated in CriticalResult: lower_c3 = {self.lower_c3!r}, "
+                f"lower_c2 = {self.lower_c2!r}, q_c = {self.q_c!r}; the bisections' absolute "
+                "tolerance is coarser than the gaps between them"
+            )
 
 
 @dataclass(frozen=True)

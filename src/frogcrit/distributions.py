@@ -135,19 +135,22 @@ def defect_mass(spec: HazardSpec, tol: float = 1e-12) -> float:
     return pochhammer(c * q, q, K)
 
 
-def pmf_sequence(spec: HazardSpec, n: int) -> np.ndarray:
-    """Array of gap probabilities f_1..f_n (index 0 unused, set to 0).
+def pmf_sequence(spec: HazardSpec, n: int, alpha: float = 1.0) -> np.ndarray:
+    """Tilted gaps alpha^k f_k = c (alpha q)^k prod_{i<k}(1 - c q^i), k = 1..n; index 0 is 0.
 
-    The survival product runs along k as in pochhammer, one factor per step.
+    The one builder of the gap law: f_k at alpha = 1 (renewal_probabilities),
+    d^k f_k at alpha = d (growth_sequence, growth_classifier).  Each factor
+    is a running product, since alpha^k times f_k overflows where f_k
+    underflows; multiply.accumulate multiplies in index order, as a scalar
+    loop would.
     """
     if n < 0:
         raise ParameterError(f"n must be >= 0, got {n}")
     c, q = spec.c, spec.q
     out = np.zeros(n + 1)
-    qk = q
-    surv = 1.0
-    for k in range(1, n + 1):
-        out[k] = c * qk * surv
-        surv *= 1.0 - c * qk
-        qk *= q
+    with np.errstate(over="ignore", invalid="ignore"):  # (alpha q)^k overflows once alpha q > 1
+        qk = np.multiply.accumulate(np.full(n, q))  # q^k
+        scale = np.multiply.accumulate(np.full(n, alpha * q))  # (alpha q)^k
+        surv = np.multiply.accumulate(np.append(1.0, 1.0 - c * qk[:-1]))  # prod_{i<k}(1 - c q^i)
+        out[1:] = c * scale * surv[:n]
     return out

@@ -24,6 +24,7 @@ _MAX_BISECT = 200
 # quarter must decrease with ratio at least this far below 1
 _RATIO_MARGIN = 1e-6
 _MAX_SERIES_TERMS = 20_000_000
+_RESIDUAL_TOL = 1e-14  # series tolerance of convergence_rate's residual
 _TINY = np.finfo(float).tiny
 _FLOAT_MAX = np.finfo(float).max
 
@@ -71,6 +72,8 @@ def renewal_probabilities(spec: HazardSpec, N: int) -> RenewalProbs:
 def _renewal_recursion(f: np.ndarray, stop_above: float | None = None) -> np.ndarray:
     """u_0 = 1 and u_n = sum_{k=1}^{min(n, K)} f_k u_{n-k} for gaps f_1..f_N (f[0] unused).
 
+    The gaps come from pmf_sequence: f_k for renewal_probabilities, the
+    tilted d^k f_k for growth_sequence and growth_classifier.
     K is the last gap index with f_K >= tiny, the smallest normal float,
     when the gaps beyond K are nonincreasing, and K = N otherwise.  Every
     dropped gap is below tiny, so the terms dropped at step n add at most
@@ -180,14 +183,14 @@ def _bisect(above, lo: float, hi: float, done=lambda lo, hi: False) -> tuple[flo
     return lo, hi
 
 
-def convergence_rate(spec: HazardSpec, tol: float = 1e-12) -> RateResult:
+def convergence_rate(spec: HazardSpec) -> RateResult:
     """Unique alpha in (1, 1/q) with F(alpha) = 1, by bracketed bisection.
 
     F(1) = P(T < inf) < 1 because the gap law is defective, and F blows
     up at the radius of convergence 1/q, so a root always exists; F is
-    strictly increasing, so it is unique.
+    strictly increasing, so it is unique.  gamma is bisected to float
+    resolution, and the residual |F(gamma) - 1| is summed to within 1e-14.
     """
-    check_tol(tol)
     c, q = spec.c, spec.q
     lo = 1.0 + 1e-12
     hi = 1.0 / q - 1e-12
@@ -208,7 +211,7 @@ def convergence_rate(spec: HazardSpec, tol: float = 1e-12) -> RateResult:
         raise BracketError("F stays below 1 up to the radius of convergence")
     lo, hi = _bisect(lambda alpha: _series_exceeds_one(c, q, alpha), lo, hi)
     gamma = 0.5 * lo + 0.5 * hi
-    value, K = _generating_function(c, q, gamma, min(tol * 1e-2, 1e-13))
+    value, K = _generating_function(c, q, gamma, _RESIDUAL_TOL)
     return RateResult(
         gamma=gamma, residual=abs(value - 1.0), bracket=(lo, hi), truncation_K=K
     )
@@ -218,42 +221,28 @@ def growth_sequence(d: int, spec: HazardSpec, N: int) -> np.ndarray:
     """Scaled renewal probabilities v_n = d^n u_n for n = 0..N.
 
     Computed by running the convolution recursion directly on the tilted
-    gaps g_k = d^k f_k = c (d q)^k prod_{i<k}(1 - c q^i), which avoids
-    the underflow of u_n at long horizons.  The recursion drops the gaps
-    beyond the last one at or above the smallest normal float; those add
-    at most (n - K) * tiny * max_{m<n} |v_m| to v_n (see
+    gaps d^k f_k, which avoids the underflow of u_n at long horizons; the
+    one gap builder, pmf_sequence(spec, N, d), makes them as it makes the
+    f_k of renewal_probabilities at alpha = 1.  The recursion drops the
+    gaps beyond the last one at or above the smallest normal float; those
+    add at most (n - K) * tiny * max_{m<n} |v_m| to v_n (see
     _renewal_recursion).  In the supercritical regime v_n grows without
     bound: once some v_n overflows, ParameterError names that n.
     growth_classifier runs the same recursion but stops at the first
     v_n > 1, so it never overflows.
     """
+    check_degree(d)
+    if N < 0:
+        raise ParameterError(f"N must be >= 0, got {N}")
     # only inf exceeds the largest float, so the recursion stops at the overflow
     with np.errstate(over="ignore"):
-        v = _renewal_recursion(_tilted_gaps(d, spec, N), stop_above=_FLOAT_MAX)
+        v = _renewal_recursion(pmf_sequence(spec, N, d), stop_above=_FLOAT_MAX)
     if len(v) <= N:
         raise ParameterError(
             f"d^n u_n overflows at n = {len(v) - 1} of horizon N = {N}; "
             "growth_classifier decides the regime without overflowing"
         )
     return v
-
-
-def _tilted_gaps(d: int, spec: HazardSpec, N: int) -> np.ndarray:
-    # Running products, not d^k * pmf_sequence: at long horizons d^k
-    # overflows where f_k underflows.  multiply.accumulate multiplies in
-    # index order, so each product is the one a scalar loop would form.
-    check_degree(d)
-    if N < 0:
-        raise ParameterError(f"N must be >= 0, got {N}")
-    c, q = spec.c, spec.q
-    # q**i is Python's pow: numpy's vectorized power can differ in the last bit
-    qi = np.array([q**i for i in range(1, N)])
-    g = np.zeros(N + 1)
-    with np.errstate(over="ignore", invalid="ignore"):
-        scale = np.multiply.accumulate(np.full(N, d * q))  # (d q)^k
-        surv = np.multiply.accumulate(np.append(1.0, 1.0 - c * qi))  # prod_{i<k}(1 - c q^i)
-        g[1:] = c * scale * surv[:N]
-    return g
 
 
 def growth_classifier(d: int, spec: HazardSpec, N: int) -> Growth:
@@ -267,9 +256,10 @@ def growth_classifier(d: int, spec: HazardSpec, N: int) -> Growth:
     otherwise (the near-critical regime at finite horizon).  The
     sequence is growth_sequence's, truncated gaps included.
     """
+    check_degree(d)
     if N < 1:
         raise ParameterError(f"N must be >= 1, got {N}")
-    v = _renewal_recursion(_tilted_gaps(d, spec, N), stop_above=1.0)
+    v = _renewal_recursion(pmf_sequence(spec, N, d), stop_above=1.0)
     if v[-1] > 1.0:
         return Growth.SUPERCRITICAL
     window = max(2, N // 4)

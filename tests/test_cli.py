@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import frogcrit
-from frogcrit import ParameterError, cli
+from frogcrit import ParameterError, cli, explicit_bounds_c3, invert_bounds_c2
 from frogcrit.cli import main, parse_d_list
 
 from reference_tables import TABLE_CONE, TABLE_DEGREES
@@ -96,12 +97,39 @@ class TestQcCommand:
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "0"])
-@pytest.mark.parametrize("command", [["qc", "--d", "2", "--c", "1"],
-                                     ["gamma", "--c", "1", "--q", "0.3"]])
-def test_tol_outside_zero_to_inf_exits_2(command, tol, capsys):
-    code, out, err = run_cli(command + ["--tol", tol], capsys)
+def test_qc_tol_outside_zero_to_inf_exits_2(tol, capsys):
+    code, out, err = run_cli(["qc", "--d", "2", "--c", "1", "--tol", tol], capsys)
     assert (code, out) == (2, "")
     assert err == f"error: tol must be in (0, inf), got {float(tol)}\n"
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "0"])
+def test_gamma_has_no_tol_flag(tol, capsys):
+    """gamma is bisected to float resolution whatever the tolerance, so there is no --tol."""
+    with pytest.raises(SystemExit) as exit_info:
+        main(["gamma", "--c", "1", "--q", "0.3", "--tol", tol])
+    captured = capsys.readouterr()
+    assert (exit_info.value.code, captured.out) == (2, "")
+    assert f"unrecognized arguments: --tol {tol}" in captured.err
+
+
+@pytest.mark.parametrize("args, tol", [(["--d", "2", "--c", "1", "--tol", "0.5"], 0.5),
+                                       (["--d", "30000", "--c", "1"], 1e-12)])
+def test_lower_bound_ordering_error_names_its_values(args, tol, capsys):
+    """A bisection tolerance coarser than the gaps between lower_c3, lower_c2
+    and q_c puts them out of order; the one error line says which values and why."""
+    code, out, err = run_cli(["qc"] + args, capsys)
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: lower-bound ordering violated in CriticalResult: ")
+    assert err.endswith("the bisections' absolute tolerance is coarser than the gaps between them\n")
+    values = re.search(r"lower_c3 = (\S+), lower_c2 = (\S+), q_c = (\S+);", err)
+    lower_c3, lower_c2, q_c = map(float, values.groups())
+    d = int(args[1])
+    assert lower_c3 == explicit_bounds_c3(d, 1.0)[0]
+    assert lower_c2 == invert_bounds_c2(d, 1.0, tol)[0]
+    assert 0.0 < q_c < 1.0 / d
+    assert not lower_c3 <= lower_c2 <= q_c
 
 
 class TestTableCommand:

@@ -9,7 +9,6 @@ from frogcrit import (
     HazardSpec,
     ParameterError,
     TreeParams,
-    convergence_rate,
     defect_mass,
     generating_function,
     interarrival_pmf,
@@ -188,7 +187,6 @@ TOL_CALLS = {
     "invert_bounds_c2": lambda tol: invert_bounds_c2(2, 1.0, tol),
     "survival_series": lambda tol: survival_series(2, 1.0, 0.2, tol),
     "generating_function": lambda tol: generating_function(HazardSpec(1.0, 0.3), 2.0, tol),
-    "convergence_rate": lambda tol: convergence_rate(HazardSpec(1.0, 0.3), tol),
     "defect_mass": lambda tol: defect_mass(HazardSpec(1.0, 0.3), tol),
 }
 

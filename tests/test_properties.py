@@ -22,6 +22,7 @@ from frogcrit import (  # noqa: E402
     simulate_frog,
 )
 from frogcrit import simulator  # noqa: E402
+from frogcrit.distributions import pmf_sequence  # noqa: E402
 from frogcrit.simulator import _level_bases  # noqa: E402
 
 scales = st.floats(min_value=0.0, max_value=1.0, exclude_min=True)  # c in (0, 1]
@@ -165,3 +166,23 @@ def test_r_of_p_is_increasing(d, p, q):
     assert r_of_p(d, lo) <= r_of_p(d, hi)
     if hi >= math.nextafter(math.nextafter(lo, 1.0), 1.0):
         assert r_of_p(d, lo) < r_of_p(d, hi)
+
+
+def _scalar_pmf_loop(spec: HazardSpec, n: int) -> np.ndarray:
+    """f_1..f_n as the scalar loop that pmf_sequence's array products replaced."""
+    c, q = spec.c, spec.q
+    out = np.zeros(n + 1)
+    qk = q
+    surv = 1.0
+    for k in range(1, n + 1):
+        out[k] = c * qk * surv
+        surv *= 1.0 - c * qk
+        qk *= q
+    return out
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(c=scales, q=ratios, n=st.integers(0, 3000))
+def test_pmf_sequence_is_bit_equal_to_the_scalar_loop(c, q, n):
+    spec = HazardSpec(c, q)
+    assert pmf_sequence(spec, n).tobytes() == _scalar_pmf_loop(spec, n).tobytes()

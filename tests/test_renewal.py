@@ -22,7 +22,7 @@ from frogcrit import (
     solve_qc,
 )
 from frogcrit.distributions import pmf_sequence
-from frogcrit.renewal import _renewal_recursion, _tilted_gaps
+from frogcrit.renewal import _renewal_recursion
 
 from reference_tables import GENFUNC_C1_Q025_A2
 
@@ -127,7 +127,7 @@ class TestRenewalRecursion:
     def test_truncation_and_early_exit_change_nothing(self, d, c, ratio):
         """Bit-equal to the full O(N^2) loop; the verdict is the full-sequence rule."""
         spec = HazardSpec(c, solve_qc(d, c).q_c * ratio)
-        g = _tilted_gaps(d, spec, 5000)
+        g = pmf_sequence(spec, 5000, d)
         assert _last_normal_gap(g) < 5000  # the recursion drops gaps here
         full = _full_recursion(g)
         assert np.array_equal(_renewal_recursion(g), full)
@@ -189,8 +189,23 @@ class TestRenewalRecursion:
         assert np.array_equal(_renewal_recursion(f, stop_above=1.0), [1.0, 0.5, 1.0, 0.975])
 
 
-def _tilted_gaps_loop(d: int, spec: HazardSpec, N: int) -> np.ndarray:
-    """g_k = c (d q)^k prod_{i<k}(1 - c q^i) as one scalar running product."""
+def _gaps_loop(spec: HazardSpec, N: int, alpha: float) -> np.ndarray:
+    """alpha^k f_k = c (alpha q)^k prod_{i<k}(1 - c q^i) as scalar running products."""
+    c, q = spec.c, spec.q
+    g = np.zeros(N + 1)
+    scale = 1.0
+    qk = 1.0
+    surv = 1.0
+    for k in range(1, N + 1):
+        scale *= alpha * q
+        g[k] = c * scale * surv
+        qk *= q
+        surv *= 1.0 - c * qk
+    return g
+
+
+def _pow_form_gaps(d: int, spec: HazardSpec, N: int) -> np.ndarray:
+    """The tilted gaps with Python's pow in the survival factor, an independent form."""
     c, q = spec.c, spec.q
     g = np.zeros(N + 1)
     scale = 1.0
@@ -202,16 +217,22 @@ def _tilted_gaps_loop(d: int, spec: HazardSpec, N: int) -> np.ndarray:
     return g
 
 
+def _sweep_grid():
+    """18 (d, c) cells x q_c * {0.8, .., 1.2} x N in {200, 5000}: 216 calls."""
+    for d, c in itertools.product((2, 3, 5, 10, 30, 100), (0.25, 0.5, 1.0)):
+        qc = solve_qc(d, c).q_c
+        for ratio, N in itertools.product((0.8, 0.95, 0.99, 1.01, 1.05, 1.2), (200, 5000)):
+            yield d, HazardSpec(c, qc * ratio), N
+
+
 class TestTiltedGaps:
+    """pmf_sequence(spec, N, d), the gaps of growth_sequence and growth_classifier."""
+
     def test_bit_equal_to_the_scalar_loop_on_the_sweep_grid(self):
-        """18 (d, c) cells x q_c * {0.8, .., 1.2} x N in {200, 5000}: 216 calls."""
         calls = 0
-        for d, c in itertools.product((2, 3, 5, 10, 30, 100), (0.25, 0.5, 1.0)):
-            qc = solve_qc(d, c).q_c
-            for ratio, N in itertools.product((0.8, 0.95, 0.99, 1.01, 1.05, 1.2), (200, 5000)):
-                spec = HazardSpec(c, qc * ratio)
-                assert np.array_equal(_tilted_gaps(d, spec, N), _tilted_gaps_loop(d, spec, N))
-                calls += 1
+        for d, spec, N in _sweep_grid():
+            assert np.array_equal(pmf_sequence(spec, N, d), _gaps_loop(spec, N, d))
+            calls += 1
         assert calls == 216
 
     @pytest.mark.parametrize(
@@ -219,8 +240,8 @@ class TestTiltedGaps:
         [
             (2, 1.0, 0.3, 0),
             (2, 1.0, 0.3, 1),
-            (2, 1.0, 0.999999, 5000),  # where a SIMD power can miss pow's last bit
-            (2, 1.0, 0.6, 5000),  # d q > 1: (d q)^k overflows, g_k is nan
+            (2, 1.0, 0.999999, 5000),
+            (2, 1.0, 0.6, 5000),  # d q > 1: (d q)^k overflows to inf
             (1000, 0.3, 0.7, 3000),
             (3, 1e-9, 0.2, 400),
         ],
@@ -229,8 +250,17 @@ class TestTiltedGaps:
         spec = HazardSpec(c, q)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            gaps = _tilted_gaps(d, spec, N)
-        assert gaps.tobytes() == _tilted_gaps_loop(d, spec, N).tobytes()
+            gaps = pmf_sequence(spec, N, d)
+        assert gaps.tobytes() == _gaps_loop(spec, N, d).tobytes()
+
+    def test_classifier_verdicts_equal_the_pow_form_on_the_sweep_grid(self):
+        """Taking q^k from a running product in place of pow moves no verdict."""
+        calls = 0
+        for d, spec, N in _sweep_grid():
+            reference = _renewal_recursion(_pow_form_gaps(d, spec, N), stop_above=1.0)
+            assert growth_classifier(d, spec, N) is _full_sequence_rule(reference)
+            calls += 1
+        assert calls == 216
 
 
 class TestGeneratingFunction:
@@ -273,7 +303,7 @@ class TestGeneratingFunction:
 
 class TestConvergenceRate:
     def test_root_residual(self):
-        res = convergence_rate(HazardSpec(1.0, 0.25), 1e-10)
+        res = convergence_rate(HazardSpec(1.0, 0.25))
         assert abs(generating_function(HazardSpec(1.0, 0.25), res.gamma, 1e-13) - 1.0) < 1e-10
 
     def test_random_specs_meet_tolerance(self):
@@ -281,7 +311,7 @@ class TestConvergenceRate:
         rng = np.random.default_rng(77)
         for _ in range(100):
             spec = HazardSpec(float(rng.uniform(0.05, 1.0)), float(rng.uniform(0.05, 0.95)))
-            res = convergence_rate(spec, 1e-10)
+            res = convergence_rate(spec)
             assert res.residual <= 1e-10
             assert 1.0 < res.gamma < 1.0 / spec.q
             assert res.bracket[0] <= res.gamma <= res.bracket[1]
@@ -289,7 +319,7 @@ class TestConvergenceRate:
     def test_matches_tree_degree_at_critical_point(self):
         """At q = q_c(d, c) the decay rate equals d."""
         qc = solve_qc(2, 1.0).q_c
-        res = convergence_rate(HazardSpec(1.0, qc), 1e-12)
+        res = convergence_rate(HazardSpec(1.0, qc))
         assert res.gamma == pytest.approx(2.0, abs=1e-6)
 
     def test_log_rate_matches_long_horizon_decay(self):
@@ -371,7 +401,7 @@ class TestGrowthClassifier:
         """The n named is the first non-finite term of the unguarded recursion."""
         spec = HazardSpec(c, 0.35 if ratio is None else solve_qc(d, c).q_c * ratio)
         with np.errstate(over="ignore"):
-            unguarded = _renewal_recursion(_tilted_gaps(d, spec, N))
+            unguarded = _renewal_recursion(pmf_sequence(spec, N, d))
         first = int(np.flatnonzero(~np.isfinite(unguarded))[0])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
