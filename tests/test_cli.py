@@ -97,8 +97,9 @@ class TestQcCommand:
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "0"])
-def test_qc_tol_outside_zero_to_inf_exits_2(tol, capsys):
-    code, out, err = run_cli(["qc", "--d", "2", "--c", "1", "--tol", tol], capsys)
+@pytest.mark.parametrize("command", [["qc", "--d", "2", "--c", "1"]])
+def test_tol_outside_zero_to_inf_exits_2(command, tol, capsys):
+    code, out, err = run_cli(command + ["--tol", tol], capsys)
     assert (code, out) == (2, "")
     assert err == f"error: tol must be in (0, inf), got {float(tol)}\n"
 

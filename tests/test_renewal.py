@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 import warnings
 
 import numpy as np
@@ -427,6 +428,24 @@ class TestGrowthClassifier:
             growth_classifier(2, HazardSpec(0.5, 0.5), 0)
         with pytest.raises(ParameterError):
             growth_sequence(1, HazardSpec(0.5, 0.5), 10)
+
+    @pytest.mark.parametrize(
+        "function, d, N, message",
+        [
+            (growth_sequence, 1, 10, "d must be an integer >= 2, got 1"),
+            (growth_sequence, 2.5, 10, "d must be an integer >= 2, got 2.5"),
+            (growth_sequence, 2, -1, "N must be >= 0, got -1"),
+            (growth_classifier, 1, 10, "d must be an integer >= 2, got 1"),
+            (growth_classifier, 2.5, 10, "d must be an integer >= 2, got 2.5"),
+            (growth_classifier, 2, 0, "N must be >= 1, got 0"),
+        ],
+    )
+    def test_degree_and_horizon_are_checked_before_the_gaps_are_built(
+        self, function, d, N, message
+    ):
+        """pmf_sequence takes any alpha, so each entry point checks d and N itself."""
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+            function(d, HazardSpec(0.5, 0.5), N)
 
 
 def test_bracket_error_is_reachable_only_by_construction():
