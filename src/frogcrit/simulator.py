@@ -26,11 +26,15 @@ from .distributions import HazardSpec, TreeParams
 from .errors import ActivationCapError, ParameterError
 # uniform_matrix and _informed_counts stay only as the tests' matrix reference
 # and as names bench/tracing.py patches, until the tracer reads counters
-from .rng import replicate_key, replicate_key_range, uniform, uniform_matrix, uniforms
+from .rng import replicate_key_range, uniform, uniform_matrix, uniforms
 
 _DEFAULT_CAP = 10_000_000
 # replicates per pass of the level engine; bounds its memory whatever the run size
 _BLOCK = 4096
+# live walkers per pass of the level engine; a block past it reruns as two halves
+_WALKERS = 2**20
+# entries per walker up to which the level engine marks keys, not sorts them
+_DENSE = 8
 # replicates per pass of the line engine, set by timing 10^5 replicates x 200
 # sites.  A pass makes a few numpy calls per site, so 8192 took 1.2x as long
 # as 12288 at q = 0.25, where the frontier dies out early.  From 13312 up, a
@@ -177,40 +181,30 @@ def simulate_frog(config: FrogSimConfig) -> SimOutcome:
     max_depth.  The set does not depend on the processing order because
     every draw is keyed to its vertex.
 
-    When the whole tree to max_depth fits under activation_cap, blocks of
-    replicates run level by level (_frog_levels), so memory does not grow
-    with the replicate count.  A block holds _BLOCK replicates, or fewer
-    where the deepest level is so wide that block size times level width
-    would pass 2^64: the engine deduplicates its walkers on one uint64 key
-    (replicate, offset in the level).  Otherwise each replicate runs the
-    scalar work queue of _frog_replicate, which raises ActivationCapError
-    once its activated set exceeds the cap.  Both give the same histogram.
+    Blocks of _BLOCK replicates run level by level (_frog_levels), so
+    memory does not grow with the replicate count; a block whose live
+    walkers pass _WALKERS runs again as two halves.
     """
-    p = config.params
-    d, c, q = p.d, p.c, p.q
-    max_depth = config.max_depth
-    bases = _level_bases(d, max_depth + 1)
+    p, max_depth = config.params, config.max_depth
+    bases = _level_bases(p.d, max_depth + 1)
+    thresholds = _reach_thresholds(p.c, p.d * p.q, max_depth)
     hist = np.zeros(max_depth + 1, dtype=np.int64)
-    if bases[max_depth + 1] <= config.activation_cap:
-        thresholds = _reach_thresholds(c, d * q, max_depth)
-        block = min(_BLOCK, _KEY_SPACE // (bases[max_depth + 1] - bases[max_depth]))
-        for keys in _key_blocks(config.seed, config.replicates, block):
-            deepest = _frog_levels(keys, d, thresholds, max_depth, bases)
-            hist += np.bincount(deepest, minlength=max_depth + 1)
-    else:
-        for rep in range(config.replicates):
-            base = replicate_key(config.seed, rep)
-            deepest = _frog_replicate(
-                base, d, c, d * q, max_depth, config.activation_cap, bases
-            )
-            hist[deepest] += 1
+    for block in _key_blocks(config.seed, config.replicates, _BLOCK):
+        pending = [block]
+        while pending:
+            keys = pending.pop()
+            deepest = _frog_levels(keys, p.d, thresholds, max_depth, bases, config.activation_cap)
+            if deepest is None:
+                pending += np.array_split(keys, 2)[::-1]
+            else:
+                hist += np.bincount(deepest, minlength=max_depth + 1)
     return SimOutcome(
         reached_depth=hist, branch_hits=None,
         replicates=config.replicates, seed=config.seed,
     )
 
 
-def _frog_levels(keys, d, thresholds, max_depth, bases) -> np.ndarray:
+def _frog_levels(keys, d, thresholds, max_depth, bases, cap) -> np.ndarray | None:
     """Deepest activated level of each replicate keyed by `keys`.
 
     All live walkers of all replicates sit at one depth and take their
@@ -218,53 +212,62 @@ def _frog_levels(keys, d, thresholds, max_depth, bases) -> np.ndarray:
     step from depth L, so the vertices this step activates are exactly
     its distinct (replicate, vertex) pairs, and each launches a walker.
     A replicate retires once a walker's reach takes it to max_depth: its
-    outcome is then known and its cluster need not grow further.
-    keys.size times the width of level max_depth must not exceed 2^64.
+    outcome is then known and its cluster need not grow further.  One that
+    has not retired may hold `cap` vertices, else ActivationCapError.
+    None means more than _WALKERS walkers of two or more replicates were live.
     """
     level_start = [np.uint64(b) for b in bases[: max_depth + 2]]
-    deepest = np.zeros(keys.size, dtype=np.int64)
-    retired = np.zeros(keys.size, dtype=bool)
-    # the live walkers: replicate, vertex, next path-choice draw, steps left
-    rep = np.arange(keys.size)
+    deepest = np.zeros(keys.size, dtype=np.int64)  # max_depth once retired
+    activated = np.ones(keys.size, dtype=np.int64)  # vertices per replicate
+    # the live walkers: replicate, vertex, slot (the index of its (replicate,
+    # vertex) pair among the level's), next path-choice draw, steps left
+    rep = slot = np.arange(keys.size)
     cur = np.zeros(keys.size, dtype=np.uint64)
     left = _reach_from_thresholds(uniforms(keys, 0, 0), thresholds, max_depth)
     draw = np.ones(keys.size, dtype=np.uint64)
     for depth in range(max_depth):
         # a walker with steps left to max_depth settles its replicate's outcome
-        retired[rep[left == max_depth - depth]] = True
-        live = np.flatnonzero((left > 0) & ~retired[rep])
+        deepest[rep[left == max_depth - depth]] = max_depth
+        if np.any((activated > cap) & (deepest < max_depth)):
+            raise ActivationCapError(f"activated set exceeded cap of {cap} vertices")
+        live = np.flatnonzero((left > 0) & (deepest[rep] < max_depth))
         if live.size == 0:
             break
-        rep, cur, draw, left = rep[live], cur[live], draw[live], left[live]
+        if live.size > _WALKERS and keys.size > 1:
+            return None
+        rep, cur, slot, draw, left = rep[live], cur[live], slot[live], draw[live], left[live]
         fanout = d + 1 if depth == 0 else d
         choice = (uniforms(keys[rep], cur, draw) * fanout).astype(np.uint64)
         np.minimum(choice, fanout - 1, out=choice)  # u == 1.0 endpoint
         cur = _child_number(cur, depth, choice, d, level_start)
-        deepest[rep] = depth + 1
         # one walker per new vertex: a duplicate would repeat the same draws,
-        # and its copies would multiply level after level.  The pair
-        # (replicate, offset in the level) packs into one key below 2^64.
-        width = level_start[depth + 2] - level_start[depth + 1]
-        packed = np.sort(rep.astype(np.uint64) * width + (cur - level_start[depth + 1]))
-        distinct = np.empty(packed.size, dtype=bool)
-        distinct[0] = True
-        np.not_equal(packed[1:], packed[:-1], out=distinct[1:])
-        packed = packed[distinct]
-        new_rep = (packed // width).astype(np.intp)
-        new_cur = level_start[depth + 1] + packed % width
-        budget = max_depth - depth - 1
+        # and its copies would multiply level after level.  Two walkers reach
+        # one vertex iff they leave one slot by one choice.
+        key = slot * fanout + choice.astype(np.int64)
+        if key.max() < _DENSE * key.size:
+            present = np.zeros(key.max() + 1, dtype=bool)
+            present[key] = True
+            slot = np.cumsum(present)[key] - 1
+            owner = np.empty(np.count_nonzero(present), dtype=np.intp)
+            owner[slot] = np.arange(key.size)
+        else:  # few walkers on a wide level (large d): sort their keys
+            _, owner, slot = np.unique(key, return_index=True, return_inverse=True)
+        new_rep, new_cur = rep[owner], cur[owner]
+        deepest[new_rep] = depth + 1
+        activated += np.bincount(new_rep, minlength=keys.size)
         new_left = _reach_from_thresholds(
-            uniforms(keys[new_rep], new_cur, 0), thresholds, budget
+            uniforms(keys[new_rep], new_cur, 0), thresholds, max_depth - depth - 1
         )
         rep = np.concatenate((rep, new_rep))
         cur = np.concatenate((cur, new_cur))
-        draw = np.concatenate((draw + np.uint64(1), np.ones(packed.size, dtype=np.uint64)))
+        slot = np.concatenate((slot, np.arange(owner.size)))
+        draw = np.concatenate((draw + np.uint64(1), np.ones(owner.size, dtype=np.uint64)))
         left = np.concatenate((left - 1, new_left))
-    deepest[retired] = max_depth
     return deepest
 
 
-def _frog_replicate(base, d, c, dq, max_depth, cap, bases) -> int:
+def _frog_replicate(base, d, c, dq, max_depth, bases) -> int:
+    # the scalar work queue of one replicate: the tests' reference for _frog_levels
     activated = {0}
     queue = [(0, 0)]  # (vertex number, depth)
     deepest = 0
@@ -287,10 +290,6 @@ def _frog_replicate(base, d, c, dq, max_depth, cap, bases) -> int:
             cur_depth += 1
             if cur not in activated:
                 activated.add(cur)
-                if len(activated) > cap:
-                    raise ActivationCapError(
-                        f"activated set exceeded cap of {cap} vertices"
-                    )
                 queue.append((cur, cur_depth))
                 if cur_depth > deepest:
                     deepest = cur_depth

@@ -310,6 +310,15 @@ class TestSimulateCommand:
         assert code == 3
         assert "cap" in err
 
+    def test_frog_cap_writes_only_the_error(self, capsys):
+        code, out, err = run_cli(
+            "simulate frog --d 2 --c 1 --q 0.35 --max-depth 30 --replicates 200 "
+            "--seed 7 --cap 5".split(),
+            capsys,
+        )
+        assert (code, out) == (3, "")
+        assert err == "error: activated set exceeded cap of 5 vertices\n"
+
     def test_frog_rejects_depths_whose_vertex_numbers_alias(self, capsys):
         args = ["simulate", "frog", "--d", "10", "--c", "1", "--q", "0.01",
                 "--replicates", "5", "--seed", "1", "--max-depth"]

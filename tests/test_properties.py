@@ -1,6 +1,6 @@
 """Property tests: the pathwise coupling that shared seeds give both engines,
-the agreement of the two tree engines, and the round trip of the
-visit-probability map r(p)."""
+the agreement of the tree engine with the scalar work queue, and the round
+trip of the visit-probability map r(p)."""
 
 import math
 from unittest import mock
@@ -23,7 +23,8 @@ from frogcrit import (  # noqa: E402
 )
 from frogcrit import simulator  # noqa: E402
 from frogcrit.distributions import pmf_sequence  # noqa: E402
-from frogcrit.simulator import _level_bases  # noqa: E402
+from frogcrit.rng import replicate_key  # noqa: E402
+from frogcrit.simulator import _frog_replicate, _level_bases  # noqa: E402
 
 scales = st.floats(min_value=0.0, max_value=1.0, exclude_min=True)  # c in (0, 1]
 ratios = st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True)
@@ -104,21 +105,21 @@ def test_tree_reach_is_monotone_in_q_and_in_c(d, c, dq, c_step, dq_step, max_dep
     seed=st.sampled_from([0, 2**64 - 1]) | st.integers(0, 2**64 - 1),
 )
 def test_level_engine_and_scalar_queue_give_one_histogram(d, c, dq, max_depth, replicates, seed):
-    """A cap at the tree size runs the level engine, one below it the scalar queue."""
+    """simulate_frog's histogram is the bincount of the scalar queue's outcomes."""
     try:
         params = TreeParams(d, c, dq / d)
     except ParameterError:
         assume(False)  # c d q >= 1
-    tree = _level_bases(d, max_depth + 1)[max_depth + 1]
-
-    def histogram(cap):
-        config = FrogSimConfig(
-            params=params, max_depth=max_depth, replicates=replicates, seed=seed,
-            activation_cap=cap,
+    bases = _level_bases(d, max_depth + 1)
+    config = FrogSimConfig(params=params, max_depth=max_depth, replicates=replicates, seed=seed)
+    want = [
+        _frog_replicate(
+            replicate_key(seed, rep), d, params.c, d * params.q, max_depth, bases
         )
-        return simulate_frog(config).reached_depth
-
-    assert np.array_equal(histogram(tree), histogram(tree - 1))
+        for rep in range(replicates)
+    ]
+    got = simulate_frog(config).reached_depth
+    assert np.array_equal(got, np.bincount(want, minlength=max_depth + 1))
 
 
 degrees = st.sampled_from([2, 3, 5, 10, 100, 1000, 10**6])

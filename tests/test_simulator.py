@@ -193,7 +193,7 @@ class TestSimulateFrog:
 
         for rep in range(400):
             base = replicate_key(seed, rep)
-            fifo = _frog_replicate(base, d, c, d * q, max_depth, 10**6, bases)
+            fifo = _frog_replicate(base, d, c, d * q, max_depth, bases)
             assert lifo_deepest(base) == fifo
 
     def test_activation_cap_raises(self):
@@ -203,6 +203,22 @@ class TestSimulateFrog:
         )
         with pytest.raises(ActivationCapError, match="^activated set exceeded cap of 5 vertices$"):
             simulate_frog(config)
+
+    @pytest.mark.parametrize("d, c, q, max_depth, cap", [(2, 1.0, 0.35, 12, 30), (3, 0.5, 0.3, 10, 10)])
+    def test_the_cap_binds_only_until_a_replicate_retires(self, d, c, q, max_depth, cap):
+        """Some replicate here passes `cap` vertices in the step that retires it.
+
+        Its outcome is known by then, so the run does not raise and gives
+        the uncapped histogram.  Counting retired replicates too would raise.
+        """
+        def run(activation_cap):
+            config = FrogSimConfig(
+                params=TreeParams(d, c, q), max_depth=max_depth, replicates=200, seed=7,
+                activation_cap=activation_cap,
+            )
+            return simulate_frog(config).reached_depth
+
+        assert np.array_equal(run(cap), run(10**7))
 
     def test_config_validation(self):
         params = TreeParams(2, 1.0, 0.3)
@@ -232,13 +248,22 @@ class TestSimulateFrog:
 # (d, c, q, max_depth) for the level engine against the scalar queue
 LEVEL_GRID = [
     (2, 1.0, 0.35, 12),  # the bench's supercritical shape
-    (2, 1.0, 0.2729, 21),  # near-critical, and the deepest level-engine tree at d = 2
+    (2, 1.0, 0.2729, 21),  # near-critical
     (2, 0.9, 0.5, 16),  # d q = 1: every walker either stays or runs to max_depth
     (2, 1.0, 0.2, 20),  # subcritical
     (3, 0.5, 0.3, 10),
     (3, 1.0, 0.3, 1),
     (10, 1.0, 0.09, 5),
+    # trees larger than the default cap of 10^7 vertices
+    (2, 1.0, 0.25, 30),
+    (2, 1.0, 0.2729, 40),
+    (3, 1.0, 0.19, 25),
 ]
+
+
+def _queue_deepest(keys, d, c, q, max_depth):
+    bases = _level_bases(d, max_depth + 1)
+    return [_frog_replicate(int(k), d, c, d * q, max_depth, bases) for k in keys]
 
 
 class TestLevelEngine:
@@ -248,81 +273,94 @@ class TestLevelEngine:
         bases = _level_bases(d, max_depth + 1)
         keys = replicate_key_range(seed, 0, 500)
         table = _reach_thresholds(c, d * q, max_depth)
-        got = _frog_levels(keys, d, table, max_depth, bases)
+        got = _frog_levels(keys, d, table, max_depth, bases, bases[max_depth + 1])
         want = [
-            _frog_replicate(int(k), d, c, d * q, max_depth, bases[max_depth + 1], bases)
+            _frog_replicate(int(k), d, c, d * q, max_depth, bases)
             for k in keys
         ]
         assert got.tolist() == want
         assert 0 < got.max()
 
-    def test_dispatch_boundary(self, monkeypatch):
-        """The level engine runs iff the whole tree fits under the cap; both agree."""
-        d, max_depth, replicates = 3, 6, _BLOCK + 3
+    @pytest.mark.parametrize("d, c, q, max_depth", [(2, 1.0, 0.28, 60), (3, 1.0, 0.19, 38)])
+    def test_deep_shapes_run_full_blocks(self, d, c, q, max_depth, monkeypatch):
+        """Levels wider than 2^64 / _BLOCK vertices take whole blocks.
+
+        The dedup key of a step, slot * fanout + choice, is below fanout
+        times the vertices activated at the level before, whatever the
+        level's width.  q is just above q_c, so surviving clusters sink
+        level by level without retiring early.
+        """
         bases = _level_bases(d, max_depth + 1)
-        calls = {"levels": 0, "scalar": 0}
+        assert _BLOCK * (bases[max_depth + 1] - bases[max_depth]) > 2**64
+        replicates, seed = _BLOCK + 3, 3
+        runs = []
 
-        def spy(name, fn):
-            def wrapper(*args):
-                calls[name] += 1
-                return fn(*args)
-            return wrapper
+        def spy(keys, *args):
+            deepest = _frog_levels(keys, *args)
+            runs.append((keys, deepest))
+            return deepest
 
-        monkeypatch.setattr(simulator, "_frog_levels", spy("levels", _frog_levels))
-        monkeypatch.setattr(simulator, "_frog_replicate", spy("scalar", _frog_replicate))
+        monkeypatch.setattr(simulator, "_frog_levels", spy)
+        config = FrogSimConfig(
+            params=TreeParams(d, c, q), max_depth=max_depth, replicates=replicates, seed=seed,
+        )
+        hist = simulate_frog(config).reached_depth
+        assert [keys.size for keys, _ in runs] == [_BLOCK, 3]
+        keys = np.concatenate([keys for keys, _ in runs])
+        assert np.array_equal(keys, replicate_key_range(seed, 0, replicates))
+        want = _queue_deepest(keys, d, c, q, max_depth)
+        assert np.concatenate([deepest for _, deepest in runs]).tolist() == want
+        assert np.array_equal(hist, np.bincount(want, minlength=max_depth + 1))
+        assert hist[max_depth] > 0
 
-        def run(cap):
+    def test_sorted_and_marked_keys_give_one_outcome(self, monkeypatch):
+        """Both dedups of a step number the new vertices in key order."""
+        for d, c, q, max_depth in LEVEL_GRID:
+            bases = _level_bases(d, max_depth + 1)
+            keys = replicate_key_range(8, 0, 300)
+            table = _reach_thresholds(c, d * q, max_depth)
+            runs = []
+            for dense in (0, 2**62):
+                monkeypatch.setattr(simulator, "_DENSE", dense)
+                runs.append(_frog_levels(keys, d, table, max_depth, bases, 10**9).tolist())
+            assert runs[0] == runs[1] == _queue_deepest(keys, d, c, q, max_depth)
+
+    @pytest.mark.parametrize("d", [10**6, 2**31, 2**62])
+    def test_huge_degrees(self, d):
+        """A step from the root has d + 1 choices: far more than there are walkers."""
+        c, q = 0.99, 1.0 / d
+        max_depth = _first_aliased_depth(d) - 1
+        bases = _level_bases(d, max_depth + 1)
+        keys = replicate_key_range(9, 0, 300)
+        table = _reach_thresholds(c, d * q, max_depth)
+        got = _frog_levels(keys, d, table, max_depth, bases, bases[max_depth + 1])
+        assert got.tolist() == _queue_deepest(keys, d, c, q, max_depth)
+
+    def test_a_block_past_the_walker_budget_runs_again_as_halves(self, monkeypatch):
+        calls = []
+
+        def spy(keys, *args):
+            calls.append(keys.size)
+            return _frog_levels(keys, *args)
+
+        def run(replicates, walkers):
+            calls.clear()
+            monkeypatch.setattr(simulator, "_WALKERS", walkers)
             config = FrogSimConfig(
-                params=TreeParams(d, 0.8, 0.25), max_depth=max_depth,
-                replicates=replicates, seed=4, activation_cap=cap,
+                params=TreeParams(2, 1.0, 0.35), max_depth=20, replicates=replicates, seed=5,
             )
-            return simulate_frog(config).reached_depth
+            return simulate_frog(config).reached_depth.tobytes()
 
-        fitting = run(bases[max_depth + 1])
-        assert calls == {"levels": 2, "scalar": 0}
-        too_big = run(bases[max_depth + 1] - 1)
-        assert calls == {"levels": 2, "scalar": replicates}
-        assert np.array_equal(fitting, too_big)
-        assert fitting[0] > 0 and fitting[max_depth] > 0
-
-
-def test_level_blocks_shrink_where_the_packed_key_would_wrap(monkeypatch):
-    """Blocks of _BLOCK replicates times a level width past 2^64 would wrap the key.
-
-    At d = 2 and depth 60 a level holds 3 * 2^59 vertices, so each block
-    takes 2^64 // width = 10 replicates.  Walkers are short (d q = 0.56)
-    and q is just above q_c = 0.2729, so surviving clusters sink level by
-    level without retiring early, down to where one block of all the
-    replicates would wrap its keys (it miscounts 25 of them).
-    """
-    d, c, q, max_depth, seed = 2, 1.0, 0.28, 60, 3
-    bases = _level_bases(d, max_depth + 1)
-    tree = bases[max_depth + 1]
-    width = tree - bases[max_depth]
-    assert _BLOCK * width > 2**64
-    block = 2**64 // width
-    assert block == 10
-    replicates = 40 * block + 3
-    runs = []
-
-    def spy(keys, *args):
-        deepest = _frog_levels(keys, *args)
-        runs.append((keys, deepest))
-        return deepest
-
-    monkeypatch.setattr(simulator, "_frog_levels", spy)
-    config = FrogSimConfig(
-        params=TreeParams(d, c, q), max_depth=max_depth, replicates=replicates,
-        seed=seed, activation_cap=tree,
-    )
-    hist = simulate_frog(config).reached_depth
-    assert [keys.size for keys, _ in runs] == [block] * 40 + [3]
-    keys = np.concatenate([keys for keys, _ in runs])
-    assert np.array_equal(keys, replicate_key_range(seed, 0, replicates))
-    want = [_frog_replicate(int(k), d, c, d * q, max_depth, tree, bases) for k in keys]
-    assert np.concatenate([deepest for _, deepest in runs]).tolist() == want
-    assert np.array_equal(hist, np.bincount(want, minlength=max_depth + 1))
-    assert hist[max_depth] > 0
+        monkeypatch.setattr(simulator, "_frog_levels", spy)
+        whole = run(_BLOCK + 100, 2**20)
+        assert calls == [_BLOCK, 100]
+        assert run(_BLOCK + 100, 2**10) == whole
+        assert len(calls) > 2 and calls[:2] == [_BLOCK, _BLOCK // 2]
+        assert np.frombuffer(whole, dtype=np.int64)[20] > 0
+        # a block of one replicate is not split: the cap bounds it
+        whole = run(5, 2**20)
+        assert run(5, 0) == whole
+        assert calls == [5, 3, 2, 1, 1]  # the first 3 have no live walker to split on
 
 
 class TestSimulateFirework:
@@ -493,6 +531,26 @@ class TestMemoryIsSetByTheBlock:
             _traced_peak_mib(simulate_frog, config(30_000)),
             _traced_peak_mib(simulate_frog, config(120_000)),
         )
+
+    def test_level_engine_on_a_deep_supercritical_shape(self, monkeypatch):
+        """Clusters sink to depth 40 before they retire, so a block's walkers
+        grow with its replicates until the walker budget splits it.
+
+        Unsplit, the 512 replicates of one block peak past the bound.  Under
+        a budget of 2^12 walkers, 128 and 512 replicates peak alike, below
+        256 bytes per walker of the budget.
+        """
+        def config(replicates):
+            return FrogSimConfig(
+                params=TreeParams(2, 1.0, 0.35), max_depth=40, replicates=replicates, seed=2
+            )
+
+        bound = 256 * 2**12 / 2**20
+        assert _traced_peak_mib(simulate_frog, config(512)) > 2 * bound
+        monkeypatch.setattr(simulator, "_WALKERS", 2**12)
+        small = _traced_peak_mib(simulate_frog, config(128))
+        large = _traced_peak_mib(simulate_frog, config(512))
+        assert large < bound and large < 1.25 * small, (small, large)
 
 
 class TestEstimateBranchHit:
