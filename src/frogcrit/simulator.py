@@ -4,8 +4,10 @@ Two engines share one law.  ``simulate_frog`` grows the activation
 cluster on the directed d-ary tree: each activated vertex launches a
 walker that takes a random number of forward steps (P(steps >= n) =
 c (d q)^n) along a uniformly chosen descending path, activating every
-vertex it visits.  ``simulate_firework`` runs the equivalent one-line
-spreading process on 0, 1, 2, ...: site i transmits to all sites within
+vertex it visits.  It grows clusters level by level, one record per
+activated vertex, and retires a replicate once a walker launches with
+reach to the depth horizon.  ``simulate_firework`` runs the equivalent
+one-line spreading process on 0, 1, 2, ...: site i transmits to all sites within
 an independent radius D_i with P(D >= k) = c q^k, which is exactly the
 law of how far a tree walker penetrates one fixed branch.  The fraction
 of runs informing site n estimates the exact renewal probability u_n.
@@ -157,13 +159,10 @@ def _reach_from_uniform(u: float, c: float, dq: float, budget: int) -> int:
 
 def _reach_thresholds(c: float, dq: float, levels: int) -> np.ndarray:
     # t[k] is the threshold _reach_from_uniform compares u with before step
-    # k + 1, formed by the same float products
-    t = np.empty(levels)
-    threshold = c * dq
-    for k in range(levels):
-        t[k] = threshold
-        threshold *= dq
-    return t
+    # k + 1: the running product of [c dq, dq, dq, ...] in the loop's order
+    factors = np.full(levels, dq)
+    factors[0] = c * dq
+    return np.multiply.accumulate(factors)
 
 
 def _reach_from_thresholds(u: np.ndarray, thresholds: np.ndarray, budget: int) -> np.ndarray:
@@ -210,36 +209,35 @@ def _frog_levels(keys, d, thresholds, max_depth, bases, cap) -> np.ndarray | Non
     All live walkers of all replicates sit at one depth and take their
     next step together.  A vertex at depth L + 1 can only be reached by a
     step from depth L, so the vertices this step activates are exactly
-    its distinct (replicate, vertex) pairs, and each launches a walker.
-    A replicate retires once a walker's reach takes it to max_depth: its
-    outcome is then known and its cluster need not grow further.  One that
-    has not retired may hold `cap` vertices, else ActivationCapError.
+    its distinct (replicate, vertex) pairs.  Each is recorded once, by its
+    replicate and breadth-first number, and launches a walker that holds
+    only its slot among the records, its next draw and its steps left.  A
+    replicate retires when a walker launches with reach to max_depth: its
+    outcome is then known.  One that has not retired may hold `cap`
+    vertices, else ActivationCapError.
     None means more than _WALKERS walkers of two or more replicates were live.
     """
     level_start = [np.uint64(b) for b in bases[: max_depth + 2]]
     deepest = np.zeros(keys.size, dtype=np.int64)  # max_depth once retired
     activated = np.ones(keys.size, dtype=np.int64)  # vertices per replicate
-    # the live walkers: replicate, vertex, slot (the index of its (replicate,
-    # vertex) pair among the level's), next path-choice draw, steps left
-    rep = slot = np.arange(keys.size)
-    cur = np.zeros(keys.size, dtype=np.uint64)
-    left = _reach_from_thresholds(uniforms(keys, 0, 0), thresholds, max_depth)
+    total = keys.size  # activated.sum(): no entry passes cap before it does
+    rep = slot = np.arange(keys.size)  # records: rep, num; walkers: slot, draw, left
+    num = np.zeros(keys.size, dtype=np.uint64)
     draw = np.ones(keys.size, dtype=np.uint64)
+    left = _reach_from_thresholds(uniforms(keys, 0, 0), thresholds, max_depth)
+    deepest[left == max_depth] = max_depth  # retired: a walker is bound for max_depth
     for depth in range(max_depth):
-        # a walker with steps left to max_depth settles its replicate's outcome
-        deepest[rep[left == max_depth - depth]] = max_depth
-        if np.any((activated > cap) & (deepest < max_depth)):
+        if total > cap and np.any((activated > cap) & (deepest < max_depth)):
             raise ActivationCapError(f"activated set exceeded cap of {cap} vertices")
-        live = np.flatnonzero((left > 0) & (deepest[rep] < max_depth))
+        live = np.flatnonzero((left > 0) & (deepest < max_depth)[rep][slot])
         if live.size == 0:
             break
         if live.size > _WALKERS and keys.size > 1:
             return None
-        rep, cur, slot, draw, left = rep[live], cur[live], slot[live], draw[live], left[live]
+        slot, draw, left = slot[live], draw[live], left[live]
         fanout = d + 1 if depth == 0 else d
-        choice = (uniforms(keys[rep], cur, draw) * fanout).astype(np.uint64)
+        choice = (uniforms(keys[rep][slot], num[slot], draw) * fanout).astype(np.uint64)
         np.minimum(choice, fanout - 1, out=choice)  # u == 1.0 endpoint
-        cur = _child_number(cur, depth, choice, d, level_start)
         # one walker per new vertex: a duplicate would repeat the same draws,
         # and its copies would multiply level after level.  Two walkers reach
         # one vertex iff they leave one slot by one choice.
@@ -247,21 +245,22 @@ def _frog_levels(keys, d, thresholds, max_depth, bases, cap) -> np.ndarray | Non
         if key.max() < _DENSE * key.size:
             present = np.zeros(key.max() + 1, dtype=bool)
             present[key] = True
-            slot = np.cumsum(present)[key] - 1
+            next_slot = np.cumsum(present)[key] - 1
             owner = np.empty(np.count_nonzero(present), dtype=np.intp)
-            owner[slot] = np.arange(key.size)
+            owner[next_slot] = np.arange(key.size)
         else:  # few walkers on a wide level (large d): sort their keys
-            _, owner, slot = np.unique(key, return_index=True, return_inverse=True)
-        new_rep, new_cur = rep[owner], cur[owner]
-        deepest[new_rep] = depth + 1
-        activated += np.bincount(new_rep, minlength=keys.size)
-        new_left = _reach_from_thresholds(
-            uniforms(keys[new_rep], new_cur, 0), thresholds, max_depth - depth - 1
-        )
-        rep = np.concatenate((rep, new_rep))
-        cur = np.concatenate((cur, new_cur))
-        slot = np.concatenate((slot, np.arange(owner.size)))
-        draw = np.concatenate((draw + np.uint64(1), np.ones(owner.size, dtype=np.uint64)))
+            _, owner, next_slot = np.unique(key, return_index=True, return_inverse=True)
+        parent = slot[owner]
+        rep = rep[parent]
+        num = _child_number(num[parent], depth, choice[owner], d, level_start)
+        deepest[rep] = depth + 1
+        activated += np.bincount(rep, minlength=keys.size)
+        total += rep.size
+        budget = max_depth - depth - 1
+        new_left = _reach_from_thresholds(uniforms(keys[rep], num, 0), thresholds, budget)
+        deepest[rep[new_left == budget]] = max_depth
+        slot = np.concatenate((next_slot, np.arange(rep.size)))
+        draw = np.concatenate((draw + np.uint64(1), np.ones(rep.size, dtype=np.uint64)))
         left = np.concatenate((left - 1, new_left))
     return deepest
 

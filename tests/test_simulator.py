@@ -1,6 +1,7 @@
 """Tests for the Monte Carlo engines against exact laws and recursions."""
 
 import math
+import sys
 import tracemalloc
 import warnings
 
@@ -101,6 +102,25 @@ class TestReachFromUniform:
         for budget in (0, 1, 5, max_depth):
             want = [_reach_from_uniform(x, c, dq, budget) for x in u.tolist()]
             assert _reach_from_thresholds(u, table, budget).tolist() == want
+
+    def test_threshold_table_is_the_scalar_running_product(self):
+        """Bit for bit, for every table length 1..70, down into subnormal tails.
+
+        Any other association of the products, such as c times the powers
+        of d q, differs in the last bit somewhere here.
+        """
+        rng = np.random.default_rng(13)
+        tails = []
+        for c, dq in zip(rng.uniform(0.0, 1.0, 300), 10.0 ** rng.uniform(-7.0, 0.0, 300)):
+            c, dq = float(c), float(dq)
+            want, threshold = [], c * dq
+            for _ in range(70):
+                want.append(threshold)
+                threshold *= dq
+            for levels in range(1, 71):
+                assert _reach_thresholds(c, dq, levels).tolist() == want[:levels]
+            tails.append(want[-1])
+        assert any(0.0 < t < sys.float_info.min for t in tails)
 
 
 class TestSimulateFrog:
@@ -266,6 +286,48 @@ def _queue_deepest(keys, d, c, q, max_depth):
     return [_frog_replicate(int(k), d, c, d * q, max_depth, bases) for k in keys]
 
 
+def _cluster_levels(base, d, c, q, max_depth):
+    """One replicate's cluster grown in full: vertices per depth, and the
+    shallowest depth whose walker launches with reach to max_depth.
+
+    The scalar queue's draws without its stop at max_depth: every walker
+    runs to its reach, capped at max_depth.  The depth is max_depth + 1
+    when no walker has that reach, so counts[:depth].sum() is the most
+    vertices the replicate holds before it retires.
+    """
+    bases = _level_bases(d, max_depth + 1)
+    depth_of = {0: 0}
+    queue = [0]
+    retires = max_depth + 1
+    for vertex in queue:  # the queue grows while it is read
+        depth = depth_of[vertex]
+        budget = max_depth - depth
+        reach = _reach_from_uniform(uniform(base, vertex, 0), c, d * q, budget)
+        if reach == budget:
+            retires = min(retires, depth)
+        cur = vertex
+        for j in range(1, reach + 1):
+            fanout = d + 1 if cur == 0 else d
+            choice = min(int(uniform(base, cur, j) * fanout), fanout - 1)
+            cur = _child_number(cur, depth + j - 1, choice, d, bases)
+            if cur not in depth_of:
+                depth_of[cur] = depth + j
+                queue.append(cur)
+    return np.bincount(list(depth_of.values()), minlength=max_depth + 1), retires
+
+
+def _counting_child_number(monkeypatch):
+    """Route _child_number through a spy; return the list of its output sizes."""
+    sizes = []
+
+    def spy(v, *args):
+        sizes.append(np.size(v))
+        return _child_number(v, *args)
+
+    monkeypatch.setattr(simulator, "_child_number", spy)
+    return sizes
+
+
 class TestLevelEngine:
     @pytest.mark.parametrize("seed", [0, 2**64 - 1])
     @pytest.mark.parametrize("d, c, q, max_depth", LEVEL_GRID)
@@ -335,6 +397,100 @@ class TestLevelEngine:
         table = _reach_thresholds(c, d * q, max_depth)
         got = _frog_levels(keys, d, table, max_depth, bases, bases[max_depth + 1])
         assert got.tolist() == _queue_deepest(keys, d, c, q, max_depth)
+
+    def test_one_record_per_activated_vertex(self, monkeypatch):
+        """Each level numbers its new vertices in one _child_number call.
+
+        No replicate here reaches max_depth, so every cluster grows in
+        full: a block makes one call per level down to its deepest vertex,
+        and each call numbers exactly the vertices activated at that level,
+        summed over the block's replicates.  bench/tracing.py counts these
+        calls as simulator.tree.steps.
+        """
+        d, c, q, max_depth = 2, 1.0, 0.15, 20
+        replicates, seed = _BLOCK + 300, 4
+        sizes = _counting_child_number(monkeypatch)
+        blocks = []
+
+        def spy(keys, *args):
+            start = len(sizes)
+            deepest = _frog_levels(keys, *args)
+            blocks.append((keys, sizes[start:]))
+            return deepest
+
+        monkeypatch.setattr(simulator, "_frog_levels", spy)
+        config = FrogSimConfig(
+            params=TreeParams(d, c, q), max_depth=max_depth, replicates=replicates, seed=seed,
+        )
+        assert simulate_frog(config).reached_depth[max_depth] == 0
+        assert [keys.size for keys, _ in blocks] == [_BLOCK, 300]
+        for keys, block_sizes in blocks:
+            counts = sum(_cluster_levels(int(k), d, c, q, max_depth)[0] for k in keys)
+            levels = np.flatnonzero(counts).max()
+            assert len(block_sizes) == levels
+            assert block_sizes == counts[1 : levels + 1].tolist()
+
+    def test_a_block_past_the_cap_in_total_runs_uncapped(self):
+        """The cap is counted per replicate that has not retired.
+
+        The cap is the most vertices any replicate holds before it retires,
+        so the block's total passes it.  Replicates retire when a walker
+        launches with reach to max_depth, and would pass the cap had they
+        grown on.
+        """
+        d, c, q, max_depth = 2, 1.0, 0.35, 12
+        bases = _level_bases(d, max_depth + 1)
+        keys = replicate_key_range(10, 0, 200)
+        table = _reach_thresholds(c, d * q, max_depth)
+        held = []
+        for k in keys:
+            counts, retires = _cluster_levels(int(k), d, c, q, max_depth)
+            held.append(int(counts[:retires].sum()))
+        cap = max(held)
+        want = _queue_deepest(keys, d, c, q, max_depth)
+        assert sum(held) > cap and want.count(max_depth) > 0
+        assert _frog_levels(keys, d, table, max_depth, bases, cap).tolist() == want
+        with pytest.raises(ActivationCapError, match=f"^activated set exceeded cap of {cap - 1} "):
+            _frog_levels(keys, d, table, max_depth, bases, cap - 1)
+
+    def test_a_lone_replicate_raises_at_the_level_it_passes_the_cap(self, monkeypatch):
+        """Vertices up to depth L, root included, number cap + 1: the engine
+        raises before its (L + 1)-th _child_number call."""
+        d, c, q, max_depth = 2, 1.0, 0.2729, 21
+        bases = _level_bases(d, max_depth + 1)
+        table = _reach_thresholds(c, d * q, max_depth)
+        clusters = {}
+        for k in replicate_key_range(11, 0, 300):
+            counts, retires = _cluster_levels(int(k), d, c, q, max_depth)
+            if retires > max_depth:
+                clusters[int(k)] = counts
+        key = max(clusters, key=lambda k: clusters[k].sum())
+        counts = clusters[key]
+        levels = np.flatnonzero(counts).max()
+        assert levels >= 5
+        keys = np.array([key], dtype=np.uint64)
+        sizes = _counting_child_number(monkeypatch)
+        for level in range(1, levels + 1):
+            cap = int(counts[: level + 1].sum()) - 1
+            sizes.clear()
+            with pytest.raises(ActivationCapError, match=f"^activated set exceeded cap of {cap} "):
+                _frog_levels(keys, d, table, max_depth, bases, cap)
+            assert len(sizes) == level
+        sizes.clear()
+        assert _frog_levels(keys, d, table, max_depth, bases, cap + 1).tolist() == [levels]
+        assert len(sizes) == levels
+
+    def test_a_root_walker_bound_for_max_depth_retires_before_the_cap_check(self):
+        """At cap 1 any step would raise, so these replicates never step."""
+        d, c, q, max_depth = 2, 1.0, 0.45, 5
+        bases = _level_bases(d, max_depth + 1)
+        table = _reach_thresholds(c, d * q, max_depth)
+        keys = replicate_key_range(12, 0, 400)
+        root = [_reach_from_uniform(u, c, d * q, max_depth) for u in uniforms(keys, 0, 0).tolist()]
+        keys = keys[np.array(root) == max_depth]
+        assert keys.size > 100
+        got = _frog_levels(keys, d, table, max_depth, bases, 1)
+        assert got.tolist() == [max_depth] * keys.size
 
     def test_a_block_past_the_walker_budget_runs_again_as_halves(self, monkeypatch):
         calls = []
