@@ -44,12 +44,28 @@ from .renewal import (
     growth_sequence,
     renewal_probabilities,
 )
-from .simulator import (
-    FrogSimConfig,
-    SimOutcome,
-    estimate_branch_hit,
-    simulate_firework,
-    simulate_frog,
-)
 
 __version__ = "0.1.0"
+
+# The simulator is the only numpy user among these names, so it loads on
+# first use (PEP 562): the exact layer above runs without importing numpy.
+_SIMULATOR_NAMES = (
+    "FrogSimConfig",
+    "SimOutcome",
+    "estimate_branch_hit",
+    "simulate_firework",
+    "simulate_frog",
+)
+__all__ = [name for name in globals() if not name.startswith("_")] + list(_SIMULATOR_NAMES)
+
+
+def __getattr__(name):
+    if name in _SIMULATOR_NAMES:
+        from . import simulator
+
+        return getattr(simulator, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_SIMULATOR_NAMES))

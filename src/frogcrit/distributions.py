@@ -13,12 +13,17 @@ truncations carry explicit analytic tail bounds derived from the
 geometric majorant f_k <= c q^k; no truncation index is hard-coded.
 """
 
+from __future__ import annotations
+
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from itertools import islice
+from typing import TYPE_CHECKING
 
 from .errors import ParameterError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -135,22 +140,53 @@ def defect_mass(spec: HazardSpec, tol: float = 1e-12) -> float:
     return pochhammer(c * q, q, K)
 
 
+def _tilted_gaps(c: float, q: float, alpha: float):
+    """Yield (g_k, frozen) for k = 1, 2, ...: the one builder of the gap law.
+
+    g_k = alpha^k f_k = c (alpha q)^k prod_{i<k}(1 - c q^i), with each
+    factor a running product, since alpha^k times f_k overflows where f_k
+    underflows.  frozen is true from k*, the first k at which the float
+    survival product stops changing: 1 - c q^k rounds to 1 (k* <= 54
+    whenever q <= 1/2) or the product has underflowed to 0.  From k* on
+    the gaps are c (alpha q)^k times one constant, exactly geometric with
+    ratio alpha q up to the rounding of (alpha q)^k.
+    """
+    aq = alpha * q
+    scale = qk = surv = 1.0
+    while True:
+        scale *= aq  # (alpha q)^k
+        qk *= q  # q^k
+        factor = 1.0 - c * qk
+        yield c * scale * surv, factor == 1.0 or surv == 0.0
+        surv *= factor  # prod_{i<=k}(1 - c q^i)
+
+
+def gap_head(spec: HazardSpec, n: int, alpha: float = 1.0) -> list[float]:
+    """Tilted gaps [g_1, ..., g_m] through m = min(n, k*), the gaps the renewal recursion needs.
+
+    They are the first m gaps of pmf_sequence, so at most 54 of them
+    whenever q <= 1/2.  When m = k*, every later gap is g_m (alpha q)^(k - m)
+    (see _tilted_gaps); when k* > n, the head holds every gap up to n.
+    """
+    head = []
+    for gap, frozen in islice(_tilted_gaps(spec.c, spec.q, alpha), n):
+        head.append(gap)
+        if frozen:
+            break
+    return head
+
+
 def pmf_sequence(spec: HazardSpec, n: int, alpha: float = 1.0) -> np.ndarray:
     """Tilted gaps alpha^k f_k = c (alpha q)^k prod_{i<k}(1 - c q^i), k = 1..n; index 0 is 0.
 
-    The one builder of the gap law: f_k at alpha = 1 (renewal_probabilities),
-    d^k f_k at alpha = d (growth_sequence, growth_classifier).  Each factor
-    is a running product, since alpha^k times f_k overflows where f_k
-    underflows; multiply.accumulate multiplies in index order, as a scalar
-    loop would.
+    Every gap of _tilted_gaps as a numpy array: f_k at alpha = 1, d^k f_k
+    at alpha = d.  Past the first overflow of (alpha q)^k a gap is inf, or
+    nan where the survival product has underflowed to 0.
     """
+    import numpy as np
+
     if n < 0:
         raise ParameterError(f"n must be >= 0, got {n}")
-    c, q = spec.c, spec.q
     out = np.zeros(n + 1)
-    with np.errstate(over="ignore", invalid="ignore"):  # (alpha q)^k overflows once alpha q > 1
-        qk = np.multiply.accumulate(np.full(n, q))  # q^k
-        scale = np.multiply.accumulate(np.full(n, alpha * q))  # (alpha q)^k
-        surv = np.multiply.accumulate(np.append(1.0, 1.0 - c * qk[:-1]))  # prod_{i<k}(1 - c q^i)
-        out[1:] = c * scale * surv[:n]
+    out[1:] = [gap for gap, _ in islice(_tilted_gaps(spec.c, spec.q, alpha), n)]
     return out

@@ -8,16 +8,30 @@ unique root of the gap generating function F(alpha) = sum alpha^k f_k = 1.
 
 The scaled sequence d^n u_n separates growth regimes on the d-ary tree:
 it diverges when d exceeds gamma and vanishes when d is below it.
+
+The recursion runs on plain floats in O(N k*): from the index k* at
+which the float survival product prod(1 - c q^i) stops changing (k* <= 54
+whenever q <= 1/2) the gaps are geometric, so the sum over them is carried
+from one step to the next instead of recomputed.  Only the functions that
+return arrays, renewal_probabilities and growth_sequence, import numpy.
 """
 
+from __future__ import annotations
+
 import math
+import sys
+from collections import deque
 from dataclasses import dataclass
 from enum import Enum
+from operator import mul
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .distributions import HazardSpec, check_degree, check_tol, pmf_sequence
+# pmf_sequence is not called here; bench/tracing.py wraps it by this module's name
+from .distributions import HazardSpec, check_degree, check_tol, gap_head, pmf_sequence  # noqa: F401
 from .errors import BracketError, ParameterError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _MAX_BISECT = 200
 # finite-horizon surrogate for "eventually decreasing": the trailing
@@ -25,8 +39,7 @@ _MAX_BISECT = 200
 _RATIO_MARGIN = 1e-6
 _MAX_SERIES_TERMS = 20_000_000
 _RESIDUAL_TOL = 1e-14  # series tolerance of convergence_rate's residual
-_TINY = np.finfo(float).tiny
-_FLOAT_MAX = np.finfo(float).max
+_FLOAT_MAX = sys.float_info.max
 
 
 class Growth(Enum):
@@ -43,6 +56,8 @@ class RenewalProbs:
     spec: HazardSpec
 
     def __post_init__(self):
+        import numpy as np
+
         vals = np.asarray(self.values, dtype=np.float64)
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
@@ -66,34 +81,41 @@ def renewal_probabilities(spec: HazardSpec, N: int) -> RenewalProbs:
     """u_0..u_N via the convolution recursion u_n = sum f_k u_{n-k}."""
     if N < 0:
         raise ParameterError(f"N must be >= 0, got {N}")
-    return RenewalProbs(values=_renewal_recursion(pmf_sequence(spec, N)), spec=spec)
+    values = _renewal_recursion(gap_head(spec, N), spec.q, N)
+    return RenewalProbs(values=values, spec=spec)
 
 
-def _renewal_recursion(f: np.ndarray, stop_above: float | None = None) -> np.ndarray:
-    """u_0 = 1 and u_n = sum_{k=1}^{min(n, K)} f_k u_{n-k} for gaps f_1..f_N (f[0] unused).
+def _renewal_recursion(
+    gaps: list[float], ratio: float, N: int, stop_above: float = math.inf
+) -> list[float]:
+    """v_0 = 1 and v_n = sum_{j=1}^{n} g_j v_{n-j} for n = 1..N, in O(N m) float operations.
 
-    The gaps come from pmf_sequence: f_k for renewal_probabilities, the
-    tilted d^k f_k for growth_sequence and growth_classifier.
-    K is the last gap index with f_K >= tiny, the smallest normal float,
-    when the gaps beyond K are nonincreasing, and K = N otherwise.  Every
-    dropped gap is below tiny, so the terms dropped at step n add at most
-    (n - K) * tiny * max_{m<n} |u_m| to u_n; multiply-adds on subnormal
-    gaps are what the truncation saves.  With stop_above, the recursion
-    stops at the first n >= 1 with u_n > stop_above and returns u_0..u_n.
+    gaps = [g_1, ..., g_m] is a gap_head: past m the gaps go on as
+    g_j = g_m ratio^(j - m), with ratio = alpha q; f_k at alpha = 1 for
+    renewal_probabilities, the tilted d^k f_k at alpha = d for
+    growth_sequence and growth_classifier.  The head g_1..g_{m-1} is summed
+    term by term, and the geometric tail T_n = sum_{j>=m} g_j v_{n-j} is
+    carried as T_n = ratio T_{n-1} + g_m v_{n-m}, so no gap is dropped.
+    Once the terms fall below the normal floats, the carried tail can stay
+    at a subnormal value where a term-by-term sum has underflowed to 0; the
+    two differ by less than the smallest normal float.  The recursion stops
+    at the first n >= 1 with v_n > stop_above, or v_n nan, and returns
+    v_0..v_n.
     """
-    N = len(f) - 1
-    normal = np.flatnonzero(f[1:] >= _TINY)
-    K = int(normal[-1]) + 1 if normal.size else 0
-    if np.any(np.diff(f[K + 1 :]) > 0.0):
-        K = N
-    u = np.zeros(N + 1)
-    u[0] = 1.0
+    m = len(gaps)
+    *head, start = gaps or [0.0]  # no gaps only at N = 0
+    v = [1.0]
+    recent = deque(v, maxlen=len(head))  # v_{n-1}, v_{n-2}, ..., paired with g_1, g_2, ...
+    tail = 0.0
     for n in range(1, N + 1):
-        m = min(n, K)
-        u[n] = f[1 : m + 1] @ u[n - m : n][::-1]
-        if stop_above is not None and u[n] > stop_above:
-            return u[: n + 1]
-    return u
+        if n >= m:
+            tail = ratio * tail + start * v[n - m]
+        x = sum(map(mul, head, recent)) + tail
+        v.append(x)
+        if not x <= stop_above:
+            break
+        recent.appendleft(x)
+    return v
 
 
 def _series_terms_needed(c: float, aq: float, tol: float) -> int:
@@ -222,27 +244,26 @@ def growth_sequence(d: int, spec: HazardSpec, N: int) -> np.ndarray:
 
     Computed by running the convolution recursion directly on the tilted
     gaps d^k f_k, which avoids the underflow of u_n at long horizons; the
-    one gap builder, pmf_sequence(spec, N, d), makes them as it makes the
-    f_k of renewal_probabilities at alpha = 1.  The recursion drops the
-    gaps beyond the last one at or above the smallest normal float; those
-    add at most (n - K) * tiny * max_{m<n} |v_m| to v_n (see
-    _renewal_recursion).  In the supercritical regime v_n grows without
-    bound: once some v_n overflows, ParameterError names that n.
-    growth_classifier runs the same recursion but stops at the first
-    v_n > 1, so it never overflows.
+    one gap builder makes them as it makes the f_k of renewal_probabilities
+    at alpha = 1.  Past k* the tilted gaps are geometric with ratio d q, so
+    the recursion costs O(N k*) and sums every gap (see _renewal_recursion).
+    In the supercritical regime v_n grows without bound: once some v_n
+    overflows, ParameterError names that n.  growth_classifier runs the
+    same recursion but stops at the first v_n > 1, so it never overflows.
     """
     check_degree(d)
     if N < 0:
         raise ParameterError(f"N must be >= 0, got {N}")
     # only inf exceeds the largest float, so the recursion stops at the overflow
-    with np.errstate(over="ignore"):
-        v = _renewal_recursion(pmf_sequence(spec, N, d), stop_above=_FLOAT_MAX)
+    v = _renewal_recursion(gap_head(spec, N, d), d * spec.q, N, stop_above=_FLOAT_MAX)
     if len(v) <= N:
         raise ParameterError(
             f"d^n u_n overflows at n = {len(v) - 1} of horizon N = {N}; "
             "growth_classifier decides the regime without overflowing"
         )
-    return v
+    import numpy as np
+
+    return np.array(v)
 
 
 def growth_classifier(d: int, spec: HazardSpec, N: int) -> Growth:
@@ -254,17 +275,16 @@ def growth_classifier(d: int, spec: HazardSpec, N: int) -> Growth:
     than two values of it, is strictly decreasing below 1 with ratio
     bounded away from 1; at N = 1 those are v_0 = 1 and v_1.  Indeterminate
     otherwise (the near-critical regime at finite horizon).  The
-    sequence is growth_sequence's, truncated gaps included.
+    sequence is growth_sequence's.
     """
     check_degree(d)
     if N < 1:
         raise ParameterError(f"N must be >= 1, got {N}")
-    v = _renewal_recursion(pmf_sequence(spec, N, d), stop_above=1.0)
-    if v[-1] > 1.0:
+    v = _renewal_recursion(gap_head(spec, N, d), d * spec.q, N, stop_above=1.0)
+    if not v[-1] <= 1.0:
         return Growth.SUPERCRITICAL
-    window = max(2, N // 4)
-    tail = v[max(0, N - window) :]
-    decreasing = np.all(tail[1:] <= (1.0 - _RATIO_MARGIN) * tail[:-1])
-    if np.all(tail < 1.0) and decreasing:
+    tail = v[max(0, N - max(2, N // 4)) :]
+    decreasing = all(b <= (1.0 - _RATIO_MARGIN) * a for a, b in zip(tail, tail[1:]))
+    if all(x < 1.0 for x in tail) and decreasing:
         return Growth.SUBCRITICAL
     return Growth.INDETERMINATE

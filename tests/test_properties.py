@@ -22,7 +22,7 @@ from frogcrit import (  # noqa: E402
     simulate_frog,
 )
 from frogcrit import simulator  # noqa: E402
-from frogcrit.distributions import pmf_sequence  # noqa: E402
+from frogcrit.distributions import gap_head, pmf_sequence  # noqa: E402
 from frogcrit.rng import replicate_key  # noqa: E402
 from frogcrit.simulator import _frog_replicate, _level_bases  # noqa: E402
 
@@ -187,3 +187,22 @@ def _scalar_pmf_loop(spec: HazardSpec, n: int) -> np.ndarray:
 def test_pmf_sequence_is_bit_equal_to_the_scalar_loop(c, q, n):
     spec = HazardSpec(c, q)
     assert pmf_sequence(spec, n).tobytes() == _scalar_pmf_loop(spec, n).tobytes()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    c=scales,
+    q=st.floats(min_value=0.0, max_value=0.5, exclude_min=True),
+    alpha=st.sampled_from([1, 2, 10, 1000]),
+)
+def test_gap_head_is_the_prefix_of_pmf_sequence_and_at_most_54_long(c, q, alpha):
+    """At q <= 1/2, c q^k rounds away from 1 by k = 54; the gaps past the head are geometric."""
+    spec = HazardSpec(c, q)
+    head = gap_head(spec, 10**6, alpha)
+    assert len(head) <= 54
+    gaps = pmf_sequence(spec, len(head) + 40, alpha)
+    assert gaps[1 : len(head) + 1].tobytes() == np.array(head).tobytes()
+    m = len(head)
+    geometric = [head[-1] * (alpha * q) ** (k - m) for k in range(m, m + 41)]
+    # subnormal gaps round on their own grid, so they agree only within tiny
+    np.testing.assert_allclose(gaps[m:], geometric, rtol=1e-13, atol=np.finfo(float).tiny)

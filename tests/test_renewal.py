@@ -22,7 +22,7 @@ from frogcrit import (
     renewal_probabilities,
     solve_qc,
 )
-from frogcrit.distributions import pmf_sequence
+from frogcrit.distributions import gap_head, pmf_sequence
 from frogcrit.renewal import _renewal_recursion
 
 from reference_tables import GENFUNC_C1_Q025_A2
@@ -94,20 +94,29 @@ class TestRenewalProbabilities:
             renewal_probabilities(HazardSpec(0.5, 0.5), -1)
 
 
+EPS = np.finfo(float).eps
 TINY = np.finfo(float).tiny
 
 
-def _full_recursion(f: np.ndarray) -> np.ndarray:
-    """u_n = sum_{k=1}^{n} f_k u_{n-k} over every gap, nothing dropped."""
+def _full_recursion(f: np.ndarray, stop_above: float = math.inf) -> np.ndarray:
+    """u_n = sum_{k=1}^{n} f_k u_{n-k} over every gap as a numpy dot, nothing carried.
+
+    Stops at the first n >= 1 with u_n > stop_above and returns u_0..u_n.
+    """
+    reversed_f = f[::-1].copy()  # f_n, ..., f_1 as one contiguous slice
+    top = len(f) - 1
     u = np.zeros(len(f))
     u[0] = 1.0
     for n in range(1, len(f)):
-        u[n] = f[1 : n + 1] @ u[n - 1 :: -1]
+        u[n] = reversed_f[top - n : top] @ u[:n]
+        if u[n] > stop_above:
+            return u[: n + 1]
     return u
 
 
-def _full_sequence_rule(v: np.ndarray) -> Growth:
+def _full_sequence_rule(v) -> Growth:
     """growth_classifier's rule applied to a whole sequence v_0..v_N."""
+    v = np.asarray(v)
     N = len(v) - 1
     if np.any(v[1:] > 1.0):
         return Growth.SUPERCRITICAL
@@ -117,77 +126,105 @@ def _full_sequence_rule(v: np.ndarray) -> Growth:
     return Growth.INDETERMINATE
 
 
-def _last_normal_gap(f: np.ndarray) -> int:
-    return int(np.flatnonzero(f[1:] >= TINY)[-1]) + 1
+def _relative_difference(v, w) -> float:
+    """max |v_n - w_n| / w_n over the normal floats w_n; below them |v_n - w_n| < tiny."""
+    v, w = np.asarray(v), np.asarray(w)
+    assert len(v) == len(w)
+    normal = w >= TINY
+    assert np.all(np.abs(v - w)[~normal] < TINY)
+    return float(np.max(np.abs(v - w)[normal] / w[normal]))
+
+
+def _oracle_sequence(c: float, q: float, alpha: float, N: int, mpmath) -> list:
+    """v_0..v_N at 60 digits, from gaps built exactly from the same float c, q and alpha."""
+    C, Q, A = mpmath.mpf(c), mpmath.mpf(q), mpmath.mpf(alpha)
+    gaps = [mpmath.mpf(0)]
+    scale, qk, surv = A * Q, Q, mpmath.mpf(1)
+    for _ in range(N):
+        gaps.append(C * scale * surv)
+        surv *= 1 - C * qk
+        qk *= Q
+        scale *= A * Q
+    v = [mpmath.mpf(1)]
+    for n in range(1, N + 1):
+        v.append(mpmath.fsum(gaps[k] * v[n - k] for k in range(1, n + 1)))
+    return v
+
+
+# The kernel's relative error against the 60-digit oracle, in units of eps;
+# the worst case on the grid below is 94.
+ORACLE_BOUND_EPS = 128
 
 
 class TestRenewalRecursion:
     @pytest.mark.parametrize("d", [2, 10])
     @pytest.mark.parametrize("c", [0.25, 1.0])
     @pytest.mark.parametrize("ratio", [0.95, 1.05])
-    def test_truncation_and_early_exit_change_nothing(self, d, c, ratio):
-        """Bit-equal to the full O(N^2) loop; the verdict is the full-sequence rule."""
+    def test_geometric_tail_matches_the_full_recursion(self, d, c, ratio):
+        """growth_sequence within 1e-12 of the O(N^2) loop over all 5000 gaps; same verdict."""
         spec = HazardSpec(c, solve_qc(d, c).q_c * ratio)
         g = pmf_sequence(spec, 5000, d)
-        assert _last_normal_gap(g) < 5000  # the recursion drops gaps here
+        assert len(gap_head(spec, 5000, d)) <= 54  # the tail carries the other gaps
         full = _full_recursion(g)
-        assert np.array_equal(_renewal_recursion(g), full)
-        assert np.array_equal(growth_sequence(d, spec, 5000), full)
+        assert _relative_difference(growth_sequence(d, spec, 5000), full) <= 1e-12
         verdict = growth_classifier(d, spec, 5000)
         assert verdict is _full_sequence_rule(full)
         expected = Growth.SUBCRITICAL if ratio < 1.0 else Growth.SUPERCRITICAL
         assert verdict is expected
 
-    @pytest.mark.parametrize("c", [1.0, 0.001])
-    def test_truncation_bound_against_mpmath(self, c):
-        """|u_n - exact| stays within (n - K) tiny max_{m<n} u_m plus rounding.
+    @pytest.mark.parametrize("alpha", [1, 3, 1000])
+    @pytest.mark.parametrize("q", [0.05, 0.25, 0.5, 0.9, 0.999])
+    @pytest.mark.parametrize("c", [1.0, 0.3, 1e-9])
+    def test_against_a_60_digit_oracle(self, c, q, alpha):
+        """Every v_n before the first overflow within ORACLE_BOUND_EPS of the exact sequence.
 
-        At q = 0.05 the gaps pass below tiny at K = 234..236.  At c = 1 the
-        u_n are far above tiny there, at c = 0.001 they are not, and the
-        dropped gaps move u_n by up to 80%.  The oracle runs the recursion
-        on the same float64 gaps with all N terms at 60 digits.
+        At q = 0.9 and 0.999, k* > N and the head is the whole sum.  At
+        alpha = 1000 (and at alpha = 3, q >= 0.5) alpha q > 1, and at
+        alpha = 1000 the sequence overflows before N = 200.  At c = 1e-9 a
+        head gap c (alpha q)^k prod(...) overflows with (alpha q)^k, a few
+        steps before the exact sequence does.
         """
         mpmath = pytest.importorskip("mpmath")
-        N = 500
-        spec = HazardSpec(c, 0.05)
-        f = pmf_sequence(spec, N)
-        K = _last_normal_gap(f)
-        assert K < N and np.any((f > 0.0) & (f < TINY))
-        u = renewal_probabilities(spec, N).values
-        eps = np.finfo(float).eps
+        N = 200
+        spec = HazardSpec(c, q)
+        v = _renewal_recursion(gap_head(spec, N, alpha), alpha * q, N)
+        assert not any(math.isnan(x) for x in v)
+        finite = [x for x in v if math.isfinite(x)]
+        assert v[: len(finite)] == finite  # inf only from the first overflow on
         with mpmath.workdps(60):
-            gaps = [mpmath.mpf(float(x)) for x in f]
-            exact = [mpmath.mpf(1)]
-            for n in range(1, N + 1):
-                exact.append(mpmath.fsum(gaps[k] * exact[n - k] for k in range(1, n + 1)))
-            # dropped amounts are not amplified while the gaps sum below 1
-            spread = 1 / (1 - mpmath.fsum(gaps))
-            for n in range(1, N + 1):
-                dropped = max(n - K, 0) * TINY * max(exact[:n])
-                rounding = n * n * eps * exact[n] + n * n * 2.0**-1074
-                assert abs(mpmath.mpf(float(u[n])) - exact[n]) <= spread * dropped + rounding
-        if c < 1.0:
-            assert not np.array_equal(u, _full_recursion(f))
+            exact = _oracle_sequence(c, q, alpha, N, mpmath)
+            for n, x in enumerate(finite):
+                assert abs(mpmath.mpf(x) - exact[n]) <= ORACLE_BOUND_EPS * EPS * exact[n], n
 
-    def test_truncation_rule_on_small_gap_laws(self):
-        # f_1 is normal, f_2 and f_3 are not, and u_2, u_3 sit at tiny's scale
-        small = 2.0**-1000
-        falling = np.array([0.0, small, TINY / 2, TINY / 4])
-        assert np.array_equal(_renewal_recursion(falling), [1.0, small, 0.0, 0.0])
-        # gaps that rise again past K keep every term
-        rising = np.array([0.0, small, TINY / 4, TINY / 2])
-        assert np.array_equal(_renewal_recursion(rising), [1.0, small, TINY / 4, TINY / 2])
-        # no normal gap at all: K = 0
-        assert np.array_equal(_renewal_recursion(np.array([0.0, TINY / 2])), [1.0, 0.0])
+    def test_one_gap_is_all_tail(self):
+        """Gaps a r^(j-1) have v_n = a (a + r)^(n-1), exact in binary for a = 1/4, r = 1/2."""
+        v = _renewal_recursion([0.25], 0.5, 30)
+        assert v == [1.0] + [0.25 * 0.75 ** (n - 1) for n in range(1, 31)]
+        # the same law with an explicit head
+        head = [0.25 * 0.5**j for j in range(5)]
+        assert _renewal_recursion(head, 0.5, 30) == v
+
+    def test_an_underflowed_survival_product_ends_the_head(self):
+        """At c = 1, q = 0.999 the product underflows at k = 353; every gap past it is 0."""
+        spec = HazardSpec(1.0, 0.999)
+        f = pmf_sequence(spec, 1000)
+        head = gap_head(spec, 1000)
+        assert len(head) == 353 and head[-1] == 0.0 < head[-2]
+        assert np.all(f[353:] == 0.0)
+        assert list(f[1:354]) == head
+        u = renewal_probabilities(spec, 1000).values
+        assert _relative_difference(u, _full_recursion(f)) <= 1e-12
 
     def test_stop_above_returns_the_prefix_through_the_first_exceedance(self):
-        f = np.array([0.0, 0.5, 0.5, 0.5, 0.5])  # u = 1, 0.5, 0.75, 1.125, ...
-        full = _full_recursion(f)
-        assert np.array_equal(_renewal_recursion(f, stop_above=1.0), full[:4])
-        assert np.array_equal(_renewal_recursion(f, stop_above=10.0), full)
+        # f_k = 0.5 for every k: u = 1, 0.5, 0.75, 1.125, ...
+        full = _full_recursion(np.array([0.0, 0.5, 0.5, 0.5, 0.5]))
+        assert _renewal_recursion([0.5], 1.0, 4, stop_above=1.0) == list(full[:4])
+        assert _renewal_recursion([0.5], 1.0, 4, stop_above=10.0) == list(full)
         # u_2 = 1 exactly is not an exceedance
-        f = np.array([0.0, 0.5, 0.75, 0.1])
-        assert np.array_equal(_renewal_recursion(f, stop_above=1.0), [1.0, 0.5, 1.0, 0.975])
+        assert _renewal_recursion([0.5, 0.75, 0.1], 0.5, 3, stop_above=1.0) == [1.0, 0.5, 1.0, 0.975]
+        # a nan, which only inf * 0 in a gap can make, counts as an exceedance
+        v = _renewal_recursion([0.5, math.nan], 0.5, 5)
+        assert v[:2] == [1.0, 0.5] and len(v) == 3 and math.isnan(v[2])
 
 
 def _gaps_loop(spec: HazardSpec, N: int, alpha: float) -> np.ndarray:
@@ -205,17 +242,23 @@ def _gaps_loop(spec: HazardSpec, N: int, alpha: float) -> np.ndarray:
     return g
 
 
-def _pow_form_gaps(d: int, spec: HazardSpec, N: int) -> np.ndarray:
-    """The tilted gaps with Python's pow in the survival factor, an independent form."""
+def _pow_form_head(d: int, spec: HazardSpec, N: int) -> list[float]:
+    """The gap head with Python's pow in the survival factor, an independent form.
+
+    It ends where that form's survival product stops changing, as gap_head does.
+    """
     c, q = spec.c, spec.q
-    g = np.zeros(N + 1)
+    head = []
     scale = 1.0
     surv = 1.0
     for k in range(1, N + 1):
         scale *= d * q
-        g[k] = c * scale * surv
-        surv *= 1.0 - c * q**k
-    return g
+        head.append(c * scale * surv)
+        factor = 1.0 - c * q**k
+        if factor == 1.0 or surv == 0.0:
+            break
+        surv *= factor
+    return head
 
 
 def _sweep_grid():
@@ -254,14 +297,24 @@ class TestTiltedGaps:
             gaps = pmf_sequence(spec, N, d)
         assert gaps.tobytes() == _gaps_loop(spec, N, d).tobytes()
 
-    def test_classifier_verdicts_equal_the_pow_form_on_the_sweep_grid(self):
-        """Taking q^k from a running product in place of pow moves no verdict."""
+    def test_classifier_matches_the_full_recursion_and_the_pow_form_on_the_sweep_grid(self):
+        """Per call: the verdict of the O(N^2) loop over all gaps, within 1e-12 of its values.
+
+        Taking q^k from pow in place of a running product moves no verdict either.
+        """
+        worst = 0.0
         calls = 0
         for d, spec, N in _sweep_grid():
-            reference = _renewal_recursion(_pow_form_gaps(d, spec, N), stop_above=1.0)
-            assert growth_classifier(d, spec, N) is _full_sequence_rule(reference)
+            verdict = growth_classifier(d, spec, N)
+            full = _full_recursion(pmf_sequence(spec, N, d), stop_above=1.0)
+            assert verdict is _full_sequence_rule(full)
+            v = _renewal_recursion(gap_head(spec, N, d), d * spec.q, N, stop_above=1.0)
+            worst = max(worst, _relative_difference(v, full))
+            pow_form = _renewal_recursion(_pow_form_head(d, spec, N), d * spec.q, N, 1.0)
+            assert verdict is _full_sequence_rule(pow_form)
             calls += 1
         assert calls == 216
+        assert worst <= 1e-12
 
 
 class TestGeneratingFunction:
@@ -401,9 +454,8 @@ class TestGrowthClassifier:
     def test_sequence_overflow_raises_at_its_first_index(self, d, c, ratio, N):
         """The n named is the first non-finite term of the unguarded recursion."""
         spec = HazardSpec(c, 0.35 if ratio is None else solve_qc(d, c).q_c * ratio)
-        with np.errstate(over="ignore"):
-            unguarded = _renewal_recursion(pmf_sequence(spec, N, d))
-        first = int(np.flatnonzero(~np.isfinite(unguarded))[0])
+        unguarded = _renewal_recursion(gap_head(spec, N, d), d * spec.q, N)
+        first = next(n for n, x in enumerate(unguarded) if not math.isfinite(x))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             message = f"overflows at n = {first} .*growth_classifier"
