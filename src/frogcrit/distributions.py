@@ -8,16 +8,16 @@ rate P(T = k | T >= k) = c*q^k, with 0 < c <= 1 and 0 < q < 1.  This gives
     defect     P(T=inf) =         prod_{i>=1}      (1 - c q^i)  >  0
 
 The distribution is defective (positive mass at infinity), which is what
-makes the associated renewal probabilities decay geometrically.  All
-truncations carry explicit analytic tail bounds derived from the
-geometric majorant f_k <= c q^k; no truncation index is hard-coded.
+makes the associated renewal probabilities decay geometrically.  One
+loop, _tilted_gaps, forms every gap alpha^k f_k the package sums.  Every
+truncation carries a tail bound from the majorant f_k <= c q^k.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice
+from itertools import count, islice
 from typing import TYPE_CHECKING
 
 from .errors import ParameterError
@@ -92,9 +92,10 @@ def pochhammer(a: float, x: float, k: int) -> float:
     """Finite product prod_{i=0}^{k-1} (1 - a * x^i); 1 for k = 0.
 
     Requires 0 <= a < 1 and 0 <= x < 1 so every factor lies in (0, 1].
-    The factors are multiplied directly, also for x near 1, where summed
-    log1p terms are less accurate.  interarrival_pmf, interarrival_survival
-    and defect_mass all evaluate their products here.
+    Each factor takes x**i from pow, as the gap kernel _tilted_gaps does,
+    so it carries one rounding where a running x^i carries about i; no
+    log1p sum, which is less accurate for x near 1.  interarrival_survival
+    and defect_mass evaluate their products here.
     """
     if not 0.0 <= a < 1.0:
         raise ParameterError(f"a must be in [0, 1), got {a}")
@@ -103,18 +104,19 @@ def pochhammer(a: float, x: float, k: int) -> float:
     if k < 0:
         raise ParameterError(f"k must be >= 0, got {k}")
     p = 1.0
-    t = a
-    for _ in range(k):
-        p *= 1.0 - t
-        t *= x
+    for i in range(k):
+        p *= 1.0 - a * x**i
     return p
 
 
 def interarrival_pmf(spec: HazardSpec, k: int) -> float:
-    """Gap probability f_k = c q^k * prod_{i=1}^{k-1}(1 - c q^i), k >= 1."""
+    """Gap probability f_k = c q^k * prod_{i=1}^{k-1}(1 - c q^i), k >= 1.
+
+    The k-th gap of _tilted_gaps at alpha = 1: pmf_sequence(spec, n)[k] for n >= k.
+    """
     if k < 1:
         raise ParameterError(f"k must be >= 1, got {k}")
-    return spec.c * spec.q**k * pochhammer(spec.c * spec.q, spec.q, k - 1)
+    return next(islice(_tilted_gaps(spec.c, spec.q, 1.0), k - 1, None))[0]
 
 
 def interarrival_survival(spec: HazardSpec, n: int) -> float:
@@ -141,24 +143,25 @@ def defect_mass(spec: HazardSpec, tol: float = 1e-12) -> float:
 
 
 def _tilted_gaps(c: float, q: float, alpha: float):
-    """Yield (g_k, frozen) for k = 1, 2, ...: the one builder of the gap law.
+    """Yield (g_k, b_k, frozen) for k = 1, 2, ...: the one loop that forms the gap law.
 
-    g_k = alpha^k f_k = c (alpha q)^k prod_{i<k}(1 - c q^i), with each
-    factor a running product, since alpha^k times f_k overflows where f_k
-    underflows.  frozen is true from k*, the first k at which the float
-    survival product stops changing: 1 - c q^k rounds to 1 (k* <= 54
-    whenever q <= 1/2) or the product has underflowed to 0.  From k* on
-    the gaps are c (alpha q)^k times one constant, exactly geometric with
-    ratio alpha q up to the rounding of (alpha q)^k.
+    g_k = alpha^k f_k = b_k prod_{i<k}(1 - c q^i), with the majorant
+    b_k = c (alpha q)^k a running product and each factor 1 - c q**k from
+    pow.  The solver's series (renewal._generating_function and
+    _series_exceeds_one, which bound their tails by b_k), gap_head,
+    pmf_sequence and interarrival_pmf all read their terms here.  frozen
+    is true from k*, the first k at which the float survival product stops
+    changing: 1 - c q^k rounds to 1 (k* <= 54 whenever q <= 1/2) or the
+    product has underflowed to 0.  From k* on the gaps are b_k times one
+    constant, exactly geometric with ratio alpha q up to the rounding of b_k.
     """
     aq = alpha * q
-    scale = qk = surv = 1.0
-    while True:
-        scale *= aq  # (alpha q)^k
-        qk *= q  # q^k
-        factor = 1.0 - c * qk
-        yield c * scale * surv, factor == 1.0 or surv == 0.0
-        surv *= factor  # prod_{i<=k}(1 - c q^i)
+    scale, surv = c * aq, 1.0  # b_k and prod_{i<k}(1 - c q^i)
+    for k in count(1):
+        factor = 1.0 - c * q**k
+        yield scale * surv, scale, factor == 1.0 or surv == 0.0
+        surv *= factor
+        scale *= aq
 
 
 def gap_head(spec: HazardSpec, n: int, alpha: float = 1.0) -> list[float]:
@@ -169,7 +172,7 @@ def gap_head(spec: HazardSpec, n: int, alpha: float = 1.0) -> list[float]:
     (see _tilted_gaps); when k* > n, the head holds every gap up to n.
     """
     head = []
-    for gap, frozen in islice(_tilted_gaps(spec.c, spec.q, alpha), n):
+    for gap, _, frozen in islice(_tilted_gaps(spec.c, spec.q, alpha), n):
         head.append(gap)
         if frozen:
             break
@@ -180,13 +183,14 @@ def pmf_sequence(spec: HazardSpec, n: int, alpha: float = 1.0) -> np.ndarray:
     """Tilted gaps alpha^k f_k = c (alpha q)^k prod_{i<k}(1 - c q^i), k = 1..n; index 0 is 0.
 
     Every gap of _tilted_gaps as a numpy array: f_k at alpha = 1, d^k f_k
-    at alpha = d.  Past the first overflow of (alpha q)^k a gap is inf, or
-    nan where the survival product has underflowed to 0.
+    at alpha = d.  Past the first overflow of the majorant c (alpha q)^k,
+    which folds c in, a gap is inf, or nan where the survival product has
+    underflowed to 0.
     """
     import numpy as np
 
     if n < 0:
         raise ParameterError(f"n must be >= 0, got {n}")
     out = np.zeros(n + 1)
-    out[1:] = [gap for gap, _ in islice(_tilted_gaps(spec.c, spec.q, alpha), n)]
+    out[1:] = [gap for gap, _, _ in islice(_tilted_gaps(spec.c, spec.q, alpha), n)]
     return out

@@ -12,8 +12,10 @@ it diverges when d exceeds gamma and vanishes when d is below it.
 The recursion runs on plain floats in O(N k*): from the index k* at
 which the float survival product prod(1 - c q^i) stops changing (k* <= 54
 whenever q <= 1/2) the gaps are geometric, so the sum over them is carried
-from one step to the next instead of recomputed.  Only the functions that
-return arrays, renewal_probabilities and growth_sequence, import numpy.
+from one step to the next instead of recomputed.  Its gaps and the terms
+of F(alpha) come from one loop, distributions._tilted_gaps.  Only the
+functions that return arrays, renewal_probabilities and growth_sequence,
+import numpy.
 """
 
 from __future__ import annotations
@@ -27,7 +29,9 @@ from operator import mul
 from typing import TYPE_CHECKING
 
 # pmf_sequence is not called here; bench/tracing.py wraps it by this module's name
-from .distributions import HazardSpec, check_degree, check_tol, gap_head, pmf_sequence  # noqa: F401
+from .distributions import (  # noqa: F401
+    HazardSpec, _tilted_gaps, check_degree, check_tol, gap_head, pmf_sequence,
+)
 from .errors import BracketError, ParameterError
 
 if TYPE_CHECKING:
@@ -150,40 +154,30 @@ def _generating_function(c: float, q: float, alpha: float, tol: float) -> tuple[
             f"alpha={alpha} is too close to 1/q for tol={tol}"
         )
     total = 0.0
-    surv = 1.0
-    scale = c * aq  # c * (alpha q)^k
-    k = 1
-    while True:
-        total += scale * surv
+    for k, (gap, scale, _) in enumerate(_tilted_gaps(c, q, alpha), 1):
+        total += gap
         if scale * aq / (1.0 - aq) <= tol:
             return total, k
-        surv *= 1.0 - c * q**k
-        scale *= aq
-        k += 1
 
 
 def _series_exceeds_one(c: float, q: float, alpha: float) -> bool:
     """Sign of F(alpha) - 1 (of G(q) - 1 at alpha = d) by early-exit partial sums.
 
-    Partial sums are increasing, so the answer is certain as soon as the
-    running sum exceeds 1 or the sum plus its tail bound stays at or
-    below 1.
+    Partial sums are increasing, so "above" is certain once the running
+    sum exceeds 1, and "not above" once the sum plus its tail bound stays
+    at or below 1.  The third exit is not certain: it answers "not above"
+    once the tail bound drops below 1e-15 while the sum is still at or
+    below 1; the bisections rely on it near the root.
     """
     aq = alpha * q
     total = 0.0
-    surv = 1.0
-    scale = c * aq
-    k = 1
-    while True:
-        total += scale * surv
+    for gap, scale, _ in _tilted_gaps(c, q, alpha):
+        total += gap
         if total > 1.0:
             return True
         tail = scale * aq / (1.0 - aq)
         if total + tail <= 1.0 or tail < 1e-15:
-            return total > 1.0
-        surv *= 1.0 - c * q**k
-        scale *= aq
-        k += 1
+            return False
 
 
 def _bisect(above, lo: float, hi: float, done=lambda lo, hi: False) -> tuple[float, float]:

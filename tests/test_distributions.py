@@ -1,6 +1,7 @@
 """Tests for the geometric-hazard gap law."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from frogcrit import (
     solve_qc,
     survival_series,
 )
-from frogcrit.distributions import pmf_sequence
+from frogcrit.distributions import gap_head, pmf_sequence
 
 from reference_tables import DEFECT_C1_Q05, POCHHAMMER_03_09_50
 
@@ -55,18 +56,26 @@ class TestPochhammer:
         with pytest.raises(ParameterError):
             pochhammer(0.5, 0.5, -1)
 
-    @pytest.mark.parametrize("a, x, k", [(0.95, 0.95, 400), (0.495, 0.99, 2000)])
+    @pytest.mark.parametrize(
+        "a, x, k",
+        [(0.95, 0.95, 400), (0.495, 0.99, 2000), (0.1, 0.999999, 3000), (0.3, 0.999, 2000)],
+    )
     def test_long_product_near_x_one_against_oracle(self, a, x, k):
-        """The k-factor product within 2e-14 of a 50-digit product of the same floats."""
+        """The k-factor product within 1e-14 of a 60-digit product of the same floats.
+
+        Each factor takes x**i from pow, one rounding where a running x^i
+        carries about i; that running form reads 3e-13 and 5e-13 in the
+        last two cases.
+        """
         mpmath = pytest.importorskip("mpmath")
-        with mpmath.workdps(50):
+        with mpmath.workdps(60):
             want = mpmath.mpf(1)
             t = mpmath.mpf(a)
             for _ in range(k):
                 want *= 1 - t
                 t *= x
             got = mpmath.mpf(pochhammer(a, x, k))
-            assert abs(got - want) <= 2e-14 * want
+            assert abs(got - want) <= 1e-14 * want
 
     def test_nonincreasing_in_k_and_a(self):
         xs = [0.1, 0.5, 0.9, 0.97]
@@ -239,6 +248,28 @@ def test_pmf_sequence_near_q_one_against_oracle(c, q, n):
         for k in range(1, n + 1):
             want = C * qk * surv
             assert abs(mpmath.mpf(got[k]) - want) <= 2e-14 * want, k
+            surv *= 1 - C * qk
+            qk *= Q
+
+
+@pytest.mark.parametrize(
+    "c, q, bound", [(1.0, 0.999999, 2e-11), (1.0, 0.9999, 5e-13), (0.5, 0.999, 1e-14)]
+)
+def test_gap_head_near_q_one_against_a_60_digit_oracle(c, q, bound):
+    """Every normal gap of gap_head(spec, 200) within bound of the exact f_k of the same floats.
+
+    The error is in 1 - c q**k, which cancels as q -> 1: a running q^k
+    would carry about k roundings into it, pow carries one.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    head = gap_head(HazardSpec(c, q), 200)
+    with mpmath.workdps(60):
+        C, Q = mpmath.mpf(c), mpmath.mpf(q)
+        surv, qk = mpmath.mpf(1), Q
+        for k, gap in enumerate(head, 1):
+            want = C * qk * surv
+            if gap >= sys.float_info.min:
+                assert abs(mpmath.mpf(gap) - want) <= bound * want, k
             surv *= 1 - C * qk
             qk *= Q
 

@@ -32,6 +32,7 @@ import sys
 
 import frogcrit
 from frogcrit import HazardSpec, Model
+from frogcrit.distributions import gap_head
 
 qc = frogcrit.solve_qc(2, 1.0).q_c
 frogcrit.convergence_rate(HazardSpec(1.0, qc))
@@ -41,6 +42,9 @@ assert (below.value, above.value) == ("subcritical", "supercritical")
 frogcrit.generating_function(HazardSpec(1.0, 0.25), 2.0)
 frogcrit.survival_series(2, 1.0, 0.25)
 frogcrit.defect_mass(HazardSpec(1.0, 0.25))
+frogcrit.interarrival_pmf(HazardSpec(1.0, 0.25), 5)
+frogcrit.interarrival_survival(HazardSpec(1.0, 0.25), 5)
+gap_head(HazardSpec(1.0, 0.25), 100, 2.0)
 for model in Model:
     frogcrit.bound_table(model, [2, 3, 10])
 print(sorted(name for name in sys.modules if name.split(".")[0] == "numpy"))

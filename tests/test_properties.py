@@ -170,15 +170,15 @@ def test_r_of_p_is_increasing(d, p, q):
 
 
 def _scalar_pmf_loop(spec: HazardSpec, n: int) -> np.ndarray:
-    """f_1..f_n as the scalar loop that pmf_sequence's array products replaced."""
+    """f_1..f_n in the kernel's scalar arithmetic: a running c q^k, factors 1 - c q**k from pow."""
     c, q = spec.c, spec.q
     out = np.zeros(n + 1)
-    qk = q
+    scale = c * q
     surv = 1.0
     for k in range(1, n + 1):
-        out[k] = c * qk * surv
-        surv *= 1.0 - c * qk
-        qk *= q
+        out[k] = scale * surv
+        surv *= 1.0 - c * q**k
+        scale *= q
     return out
 
 

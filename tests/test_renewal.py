@@ -23,7 +23,7 @@ from frogcrit import (
     solve_qc,
 )
 from frogcrit.distributions import gap_head, pmf_sequence
-from frogcrit.renewal import _renewal_recursion
+from frogcrit.renewal import _generating_function, _renewal_recursion
 
 from reference_tables import GENFUNC_C1_Q025_A2
 
@@ -180,9 +180,9 @@ class TestRenewalRecursion:
 
         At q = 0.9 and 0.999, k* > N and the head is the whole sum.  At
         alpha = 1000 (and at alpha = 3, q >= 0.5) alpha q > 1, and at
-        alpha = 1000 the sequence overflows before N = 200.  At c = 1e-9 a
-        head gap c (alpha q)^k prod(...) overflows with (alpha q)^k, a few
-        steps before the exact sequence does.
+        alpha = 1000 the sequence overflows before N = 200.  A head gap
+        overflows with its majorant c (alpha q)^k, which folds c in, so at
+        c = 1e-9 the sequence overflows at the same n as the exact one.
         """
         mpmath = pytest.importorskip("mpmath")
         N = 200
@@ -228,42 +228,48 @@ class TestRenewalRecursion:
 
 
 def _gaps_loop(spec: HazardSpec, N: int, alpha: float) -> np.ndarray:
-    """alpha^k f_k = c (alpha q)^k prod_{i<k}(1 - c q^i) as scalar running products."""
+    """alpha^k f_k = c (alpha q)^k prod_{i<k}(1 - c q^i) in the kernel's scalar arithmetic.
+
+    The majorant c (alpha q)^k is a running product; each survival factor
+    takes q**k from pow.
+    """
     c, q = spec.c, spec.q
     g = np.zeros(N + 1)
-    scale = 1.0
-    qk = 1.0
+    aq = alpha * q
+    scale = c * aq
     surv = 1.0
     for k in range(1, N + 1):
-        scale *= alpha * q
-        g[k] = c * scale * surv
-        qk *= q
-        surv *= 1.0 - c * qk
+        g[k] = scale * surv
+        surv *= 1.0 - c * q**k
+        scale *= aq
     return g
 
 
-def _pow_form_head(d: int, spec: HazardSpec, N: int) -> list[float]:
-    """The gap head with Python's pow in the survival factor, an independent form.
+def _running_form_head(d: int, spec: HazardSpec, N: int) -> list[float]:
+    """The gap head with running (d q)^k and q^k and c applied last, an independent form.
 
     It ends where that form's survival product stops changing, as gap_head does.
     """
     c, q = spec.c, spec.q
     head = []
-    scale = 1.0
-    surv = 1.0
+    scale = qk = surv = 1.0
     for k in range(1, N + 1):
         scale *= d * q
+        qk *= q
         head.append(c * scale * surv)
-        factor = 1.0 - c * q**k
+        factor = 1.0 - c * qk
         if factor == 1.0 or surv == 0.0:
             break
         surv *= factor
     return head
 
 
+_SWEEP_CELLS = list(itertools.product((2, 3, 5, 10, 30, 100), (0.25, 0.5, 1.0)))  # (d, c)
+
+
 def _sweep_grid():
     """18 (d, c) cells x q_c * {0.8, .., 1.2} x N in {200, 5000}: 216 calls."""
-    for d, c in itertools.product((2, 3, 5, 10, 30, 100), (0.25, 0.5, 1.0)):
+    for d, c in _SWEEP_CELLS:
         qc = solve_qc(d, c).q_c
         for ratio, N in itertools.product((0.8, 0.95, 0.99, 1.01, 1.05, 1.2), (200, 5000)):
             yield d, HazardSpec(c, qc * ratio), N
@@ -285,7 +291,7 @@ class TestTiltedGaps:
             (2, 1.0, 0.3, 0),
             (2, 1.0, 0.3, 1),
             (2, 1.0, 0.999999, 5000),
-            (2, 1.0, 0.6, 5000),  # d q > 1: (d q)^k overflows to inf
+            (2, 1.0, 0.6, 5000),  # d q > 1: c (d q)^k overflows to inf
             (1000, 0.3, 0.7, 3000),
             (3, 1e-9, 0.2, 400),
         ],
@@ -297,10 +303,11 @@ class TestTiltedGaps:
             gaps = pmf_sequence(spec, N, d)
         assert gaps.tobytes() == _gaps_loop(spec, N, d).tobytes()
 
-    def test_classifier_matches_the_full_recursion_and_the_pow_form_on_the_sweep_grid(self):
+    def test_classifier_matches_the_full_recursion_and_the_running_form_on_the_sweep_grid(self):
         """Per call: the verdict of the O(N^2) loop over all gaps, within 1e-12 of its values.
 
-        Taking q^k from pow in place of a running product moves no verdict either.
+        Taking q^k from a running product in place of pow, with c applied
+        last, moves no verdict either.
         """
         worst = 0.0
         calls = 0
@@ -310,11 +317,36 @@ class TestTiltedGaps:
             assert verdict is _full_sequence_rule(full)
             v = _renewal_recursion(gap_head(spec, N, d), d * spec.q, N, stop_above=1.0)
             worst = max(worst, _relative_difference(v, full))
-            pow_form = _renewal_recursion(_pow_form_head(d, spec, N), d * spec.q, N, 1.0)
-            assert verdict is _full_sequence_rule(pow_form)
+            running = _renewal_recursion(_running_form_head(d, spec, N), d * spec.q, N, 1.0)
+            assert verdict is _full_sequence_rule(running)
             calls += 1
         assert calls == 216
         assert worst <= 1e-12
+
+
+def _kernel_cases():
+    """(c, q, alpha): the sweep grid's 18 (d, q_c) cells at alpha = d, and gamma --c 0.3 --q 0.6."""
+    for d, c in _SWEEP_CELLS:
+        yield c, solve_qc(d, c).q_c, d
+    yield 0.3, 0.6, convergence_rate(HazardSpec(0.3, 0.6)).gamma
+
+
+class TestOneGapKernel:
+    """The solver's series and the gap sequences read their terms from one loop."""
+
+    def test_generating_function_sums_the_gaps_of_pmf_sequence(self):
+        for c, q, alpha in _kernel_cases():
+            value, K = _generating_function(c, q, alpha, 1e-14)
+            total = 0.0
+            for gap in pmf_sequence(HazardSpec(c, q), K, alpha)[1:]:
+                total += float(gap)  # left to right, as the series adds them
+            assert value == total, (c, q, alpha)
+
+    def test_interarrival_pmf_is_the_gap_of_pmf_sequence(self):
+        for c, q, _ in _kernel_cases():
+            spec = HazardSpec(c, q)
+            gaps = pmf_sequence(spec, 60)
+            assert [interarrival_pmf(spec, k) for k in range(1, 61)] == list(gaps[1:]), (c, q)
 
 
 class TestGeneratingFunction:
