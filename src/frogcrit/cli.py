@@ -154,7 +154,7 @@ def _cmd_simulate(args, out) -> int:
         params=params, max_depth=args.max_depth,
         replicates=args.replicates, seed=args.seed, activation_cap=args.cap,
     )
-    verdict = growth_classifier(args.d, params.hazard_spec, args.horizon)
+    verdict = growth_classifier(args.d, params.hazard_spec, 200)
     outcome = simulate_frog(config)
     fractions = outcome.reach_fractions()
     header = ["depth", "count", "reach_fraction"]
@@ -162,7 +162,7 @@ def _cmd_simulate(args, out) -> int:
         [k, int(outcome.reached_depth[k]), float(fractions[k])]
         for k in range(args.max_depth + 1)
     ]
-    notes = [f"growth classification (horizon {args.horizon}): {verdict.value}"]
+    notes = [f"growth classification (horizon 200): {verdict.value}"]
     _emit("frog.v1", header, rows, args.format, out, notes=notes)
     return 0
 
@@ -208,8 +208,6 @@ def _build_parser() -> argparse.ArgumentParser:
     frog.add_argument("--seed", type=int, required=True)
     frog.add_argument("--cap", type=int, default=_DEFAULT_CAP,
                       help="activated-vertex cap per replicate")
-    frog.add_argument("--horizon", type=int, default=200,
-                      help="horizon of the deterministic growth classification")
     frog.add_argument("--format", choices=_FORMATS, default="plain")
     frog.set_defaults(func=_cmd_simulate)
 

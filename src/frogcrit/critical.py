@@ -15,12 +15,13 @@ and the single-activation removal variant (c = 1, q = p/(d+1)).
 """
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, fields
 from enum import Enum
 
 from .distributions import HazardSpec, check_degree, check_tol
 from .errors import BracketError, ParameterError
-from .renewal import _bisect, _generating_function, _series_exceeds_one
+from .renewal import _bisect, _check_series_terms, _generating_function, _series_exceeds_one
 
 _SCAN_POINTS = 64
 
@@ -98,39 +99,37 @@ def survival_series(d: int, c: float, q: float, tol: float = 1e-12) -> float:
 
 
 def solve_qc(d: int, c: float, tol: float = 1e-12) -> CriticalResult:
-    """Solve G(q_c) = 1 on (0, 1/d) by scan-bracketed bisection.
+    """Solve G(q_c) = 1 on (0, 1/d) by grid-search-bracketed bisection.
 
-    The root is unique by the monotone structure of the model; as a
-    defense, an initial 64-point scan raises if it sees more than one
-    sign change.  The returned residual is |G(q_c) - 1| evaluated with a
-    tighter series tolerance than the solve itself.
+    G - 1 changes sign once: sum_n d^n u_n = 1/(1 - G(q)) is finite iff
+    G(q) < 1 (Feller, vol. 1, ch. XIII), and each u_n is nondecreasing in q
+    under the shared-uniform coupling.  So a binary search brackets the root
+    on a 64-point grid and the edge point (1 - 1e-9)/d, in at most 7 sign
+    tests; it skips the first point, where G <= c d q/(1 - d q) = c/64.  The
+    residual |G(q_c) - 1| is summed with a tighter tolerance than the solve;
+    where it would need over _MAX_SERIES_TERMS terms (at the default tol, c
+    below about 1.6e-6), ParameterError comes before the bisection.
     """
     _validate_dc(d, c)
     check_tol(tol)
     edge = 1.0 / d
-    grid = [edge * j / (_SCAN_POINTS + 1) for j in range(1, _SCAN_POINTS + 1)]
-    signs = [_series_exceeds_one(c, q, d) for q in grid]
-    changes = [j for j in range(1, len(signs)) if signs[j] != signs[j - 1]]
-    if signs[0]:
-        raise BracketError("G already exceeds 1 at the smallest scan point")
-    if len(changes) > 1:
-        raise BracketError(
-            f"{len(changes)} sign changes of G - 1 detected on (0, 1/d); "
-            "expected a unique crossing"
-        )
-    if changes:
-        lo, hi = grid[changes[0] - 1], grid[changes[0]]
-    elif not signs[-1] and _series_exceeds_one(c, edge * (1.0 - 1e-9), d):
-        lo, hi = grid[-1], edge * (1.0 - 1e-9)
-    else:
+    grid = [edge * j / (_SCAN_POINTS + 1) for j in range(1, _SCAN_POINTS + 1)] + [edge * (1.0 - 1e-9)]
+
+    def above(q):
+        return _series_exceeds_one(c, q, d)
+
+    j = bisect_left(grid, True, lo=1, key=above)
+    if j == len(grid):
         raise BracketError("no sign change of G - 1 found on (0, 1/d)")
+    lo, hi = grid[j - 1], grid[j]
     series_tol = max(1e-15, tol * 1e-2)
+    _check_series_terms(c, 1.0 / (1.0 + c), d, series_tol)
 
     def converged(lo, hi):
         # the residual series runs only once the bracket is within tol
         return hi - lo <= tol and abs(survival_series(d, c, 0.5 * (lo + hi), series_tol) - 1.0) <= tol
 
-    lo, hi = _bisect(lambda q: _series_exceeds_one(c, q, d), lo, hi, converged)
+    lo, hi = _bisect(above, lo, hi, converged)
     q_c = 0.5 * (lo + hi)
     residual = abs(survival_series(d, c, q_c, series_tol) - 1.0)
     q_lower, q_upper = invert_bounds_c2(d, c, tol)
@@ -307,8 +306,6 @@ def removal_bounds(d: int) -> ModelBounds:
     cone = cone_percolation_bounds(d)
     lower = (d + 1.0) * cone.lower
     upper = (d + 1.0) * cone.upper
-    if upper >= 1.0:
-        raise ParameterError(f"scaled upper bound {upper} >= 1 is outside (0, 1)")
     return ModelBounds(model=Model.REMOVAL, d=d, lower=lower, upper=upper)
 
 

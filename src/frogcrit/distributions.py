@@ -16,6 +16,7 @@ truncation carries a tail bound from the majorant f_k <= c q^k.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import count, islice
 from typing import TYPE_CHECKING
@@ -24,6 +25,8 @@ from .errors import ParameterError
 
 if TYPE_CHECKING:
     import numpy as np
+
+_MAX_SERIES_TERMS = 20_000_000  # cap on the terms of any series or product
 
 
 @dataclass(frozen=True)
@@ -132,13 +135,15 @@ def defect_mass(spec: HazardSpec, tol: float = 1e-12) -> float:
     The index K is chosen from the tail bound
     |log prod_{i>K}(1 - c q^i)| <= c q^{K+1} / ((1-q)(1 - c q^{K+1})),
     which also bounds the absolute truncation error since the partial
-    product is at most 1.
+    product is at most 1.  The bound falls as K grows, so K is found by
+    binary search; ParameterError when K would pass _MAX_SERIES_TERMS.
     """
     check_tol(tol)
     c, q = spec.c, spec.q
-    K = 1
-    while c * q ** (K + 1) / ((1.0 - q) * (1.0 - c * q ** (K + 1))) > tol:
-        K += 1
+    K = 1 + bisect_left(range(1, _MAX_SERIES_TERMS + 1), True, key=lambda K: (
+        c * q ** (K + 1) / ((1.0 - q) * (1.0 - c * q ** (K + 1))) <= tol))
+    if K > _MAX_SERIES_TERMS:
+        raise ParameterError(f"q={q} is too close to 1 for tol={tol}")
     return pochhammer(c * q, q, K)
 
 

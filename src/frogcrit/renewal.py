@@ -25,12 +25,13 @@ import sys
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
+from itertools import islice
 from operator import mul
 from typing import TYPE_CHECKING
 
 # pmf_sequence is not called here; bench/tracing.py wraps it by this module's name
 from .distributions import (  # noqa: F401
-    HazardSpec, _tilted_gaps, check_degree, check_tol, gap_head, pmf_sequence,
+    _MAX_SERIES_TERMS, HazardSpec, _tilted_gaps, check_degree, check_tol, gap_head, pmf_sequence,
 )
 from .errors import BracketError, ParameterError
 
@@ -41,7 +42,6 @@ _MAX_BISECT = 200
 # finite-horizon surrogate for "eventually decreasing": the trailing
 # quarter must decrease with ratio at least this far below 1
 _RATIO_MARGIN = 1e-6
-_MAX_SERIES_TERMS = 20_000_000
 _RESIDUAL_TOL = 1e-14  # series tolerance of convergence_rate's residual
 _FLOAT_MAX = sys.float_info.max
 
@@ -122,12 +122,13 @@ def _renewal_recursion(
     return v
 
 
-def _series_terms_needed(c: float, aq: float, tol: float) -> int:
-    # smallest K with c * aq^(K+1) / (1 - aq) <= tol
+def _check_series_terms(c: float, aq: float, alpha: float, tol: float) -> None:
+    # ParameterError if the smallest K with c aq^(K+1) / (1 - aq) <= tol passes
+    # _MAX_SERIES_TERMS.  K grows with aq, and every root of F(alpha) = 1 has
+    # aq above 1/(1 + c), where the majorant sum c aq / (1 - aq) is 1.
     target = tol * (1.0 - aq) / c
-    if target >= aq:
-        return 1
-    return max(1, math.ceil(math.log(target) / math.log(aq)) - 1)
+    if target < aq and math.ceil(math.log(target) / math.log(aq)) - 1 > _MAX_SERIES_TERMS:
+        raise ParameterError(f"alpha={alpha} is too close to 1/q for tol={tol}")
 
 
 def generating_function(spec: HazardSpec, alpha: float, tol: float = 1e-12) -> float:
@@ -146,13 +147,8 @@ def _generating_function(c: float, q: float, alpha: float, tol: float) -> tuple[
     check_tol(tol)
     aq = alpha * q
     if aq >= 1.0:
-        raise ParameterError(
-            f"alpha*q must be < 1 (series diverges), got {aq}"
-        )
-    if _series_terms_needed(c, aq, tol) > _MAX_SERIES_TERMS:
-        raise ParameterError(
-            f"alpha={alpha} is too close to 1/q for tol={tol}"
-        )
+        raise ParameterError(f"alpha*q must be < 1 (series diverges), got {aq}")
+    _check_series_terms(c, aq, alpha, tol)
     total = 0.0
     for k, (gap, scale, _) in enumerate(_tilted_gaps(c, q, alpha), 1):
         total += gap
@@ -167,17 +163,19 @@ def _series_exceeds_one(c: float, q: float, alpha: float) -> bool:
     sum exceeds 1, and "not above" once the sum plus its tail bound stays
     at or below 1.  The third exit is not certain: it answers "not above"
     once the tail bound drops below 1e-15 while the sum is still at or
-    below 1; the bisections rely on it near the root.
+    below 1; the bisections rely on it near the root.  ParameterError past
+    _MAX_SERIES_TERMS terms.
     """
     aq = alpha * q
     total = 0.0
-    for gap, scale, _ in _tilted_gaps(c, q, alpha):
+    for gap, scale, _ in islice(_tilted_gaps(c, q, alpha), _MAX_SERIES_TERMS):
         total += gap
         if total > 1.0:
             return True
         tail = scale * aq / (1.0 - aq)
         if total + tail <= 1.0 or tail < 1e-15:
             return False
+    raise ParameterError(f"the sign of F({alpha}) - 1 at q={q} needs over {_MAX_SERIES_TERMS} terms")
 
 
 def _bisect(above, lo: float, hi: float, done=lambda lo, hi: False) -> tuple[float, float]:
@@ -225,6 +223,7 @@ def convergence_rate(spec: HazardSpec) -> RateResult:
         )
     if not _series_exceeds_one(c, q, hi):
         raise BracketError("F stays below 1 up to the radius of convergence")
+    _check_series_terms(c, 1.0 / (1.0 + c), 1.0 / ((1.0 + c) * q), _RESIDUAL_TOL)
     lo, hi = _bisect(lambda alpha: _series_exceeds_one(c, q, alpha), lo, hi)
     gamma = 0.5 * lo + 0.5 * hi
     value, K = _generating_function(c, q, gamma, _RESIDUAL_TOL)

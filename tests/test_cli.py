@@ -3,16 +3,13 @@
 import csv
 import io
 import json
-import os
 import re
-import subprocess
-import sys
+import time
 from pathlib import Path
 
 import pytest
 
-import frogcrit
-from frogcrit import ParameterError, cli, explicit_bounds_c3, invert_bounds_c2
+from frogcrit import ParameterError, explicit_bounds_c3, invert_bounds_c2
 from frogcrit.cli import main, parse_d_list
 
 from reference_tables import TABLE_CONE, TABLE_DEGREES
@@ -102,6 +99,16 @@ def test_tol_outside_zero_to_inf_exits_2(command, tol, capsys):
     code, out, err = run_cli(command + ["--tol", tol], capsys)
     assert (code, out) == (2, "")
     assert err == f"error: tol must be in (0, inf), got {float(tol)}\n"
+
+
+@pytest.mark.parametrize("args", ["qc --d 2 --c 1e-6", "gamma --c 1e-6 --q 0.3"])
+def test_a_root_whose_residual_passes_the_term_cap_exits_2_fast(args, capsys):
+    """Near c = 0 the residual series needs over 20 million terms; the solvers refuse before bisecting."""
+    start = time.perf_counter()
+    code, out, err = run_cli(args.split(), capsys)
+    assert time.perf_counter() - start < 10.0
+    assert (code, out) == (2, "")
+    assert err.endswith("is too close to 1/q for tol=1e-14\n")
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "0"])
@@ -328,37 +335,25 @@ class TestSimulateCommand:
         code, _, err = run_cli(args + ["19"], capsys)
         assert (code, err) == (0, "")
 
-    def test_frog_rejects_a_bad_horizon_before_simulating(self, monkeypatch, capsys):
-        def spy(config):
-            raise AssertionError("simulate_frog ran before --horizon was checked")
-
-        monkeypatch.setattr(cli, "simulate_frog", spy)
+    @pytest.mark.parametrize("fmt, note", [
+        ("plain", "growth classification (horizon 200): subcritical\n"),
+        ("jsonl", json.dumps({"schema": "frog.v1.note",
+                              "note": "growth classification (horizon 200): subcritical"}) + "\n"),
+    ])
+    def test_frog_note_classifies_at_horizon_200(self, fmt, note, capsys):
         code, out, err = run_cli(
-            ["simulate", "frog", "--d", "2", "--c", "1", "--q", "0.35",
-             "--max-depth", "12", "--replicates", "300000", "--seed", "1", "--horizon", "0"],
-            capsys,
-        )
-        assert (code, out) == (2, "")
-        assert "N must be >= 1, got 0" in err
-
-    def test_frog_horizon_one_is_indeterminate(self, capsys):
-        code, out, _ = run_cli(
             ["simulate", "frog", "--d", "2", "--c", "1", "--q", "0.1", "--max-depth", "3",
-             "--replicates", "10", "--seed", "0", "--horizon", "1"],
+             "--replicates", "10", "--seed", "0", "--format", fmt],
             capsys,
         )
-        assert code == 0
-        assert out.endswith("growth classification (horizon 1): indeterminate\n")
+        assert (code, err) == (0, "")
+        assert out.endswith(note)
 
-    def test_frog_long_horizon_writes_no_warning(self):
-        """A supercritical classification stops before d^n u_n can overflow."""
-        env = dict(os.environ, PYTHONPATH=str(Path(frogcrit.__file__).parents[1]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "frogcrit.cli", "simulate", "frog", "--d", "2",
-             "--c", "1", "--q", "0.35", "--max-depth", "6", "--replicates", "100",
-             "--seed", "1", "--horizon", "10000"],
-            capture_output=True, text=True, env=env, timeout=60,
-        )
-        assert proc.returncode == 0
-        assert proc.stderr == ""
-        assert "growth classification (horizon 10000): supercritical" in proc.stdout
+    def test_frog_has_no_horizon_flag(self, capsys):
+        """The classification horizon is fixed at 200, so --horizon is an unknown argument."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(["simulate", "frog", "--d", "2", "--c", "1", "--q", "0.35", "--max-depth", "6",
+                  "--replicates", "100", "--seed", "1", "--horizon", "5"])
+        captured = capsys.readouterr()
+        assert (exit_info.value.code, captured.out) == (2, "")
+        assert "unrecognized arguments: --horizon 5" in captured.err

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from frogcrit import (
+    BracketError,
+    CriticalResult,
     HazardSpec,
     Model,
     ParameterError,
@@ -25,6 +27,8 @@ from frogcrit import (
     solve_qc,
     survival_series,
 )
+from frogcrit import critical
+from frogcrit.renewal import _bisect, _series_exceeds_one
 
 from reference_tables import (
     CONE_D2_BOUNDS,
@@ -60,7 +64,83 @@ class TestSurvivalSeries:
             survival_series(3, 0.5, 0.4)
 
 
+def _scan_solve_qc(d, c, tol=1e-12):
+    """solve_qc as it was with a 64-point sign scan: the reference of the binary-search bracket."""
+    critical._validate_dc(d, c)
+    critical.check_tol(tol)
+    edge = 1.0 / d
+    grid = [edge * j / 65 for j in range(1, 65)]
+    signs = [_series_exceeds_one(c, q, d) for q in grid]
+    changes = [j for j in range(1, len(signs)) if signs[j] != signs[j - 1]]
+    if signs[0]:
+        raise BracketError("G already exceeds 1 at the smallest scan point")
+    if len(changes) > 1:
+        raise BracketError(f"{len(changes)} sign changes of G - 1 detected on (0, 1/d)")
+    if changes:
+        lo, hi = grid[changes[0] - 1], grid[changes[0]]
+    elif not signs[-1] and _series_exceeds_one(c, edge * (1.0 - 1e-9), d):
+        lo, hi = grid[-1], edge * (1.0 - 1e-9)
+    else:
+        raise BracketError("no sign change of G - 1 found on (0, 1/d)")
+    series_tol = max(1e-15, tol * 1e-2)
+
+    def converged(lo, hi):
+        return hi - lo <= tol and abs(survival_series(d, c, 0.5 * (lo + hi), series_tol) - 1.0) <= tol
+
+    lo, hi = _bisect(lambda q: _series_exceeds_one(c, q, d), lo, hi, converged)
+    q_c = 0.5 * (lo + hi)
+    residual = abs(survival_series(d, c, q_c, series_tol) - 1.0)
+    lower_c3, upper_c3 = explicit_bounds_c3(d, c)
+    return CriticalResult(d, c, q_c, residual, *invert_bounds_c2(d, c, tol), lower_c3, upper_c3)
+
+
+def _outcome(solve, d, c):
+    try:
+        return solve(d, c)
+    except (BracketError, ParameterError) as exc:
+        return type(exc), str(exc)
+
+
+# 24 degrees x 9 scales; c = 0.01 puts the root past the last grid point, c = 1e-12
+# leaves no sign change, and d = 10^4 at c = 1 fails the lower-bound ordering
+_ORACLE_DEGREES = [*range(2, 22), 50, 100, 1000, 10_000]
+_ORACLE_SCALES = [1e-12, 0.01, 0.05, 0.1, 0.25, 0.3, 0.5, 0.75, 1.0]
+
+
 class TestSolveQc:
+    def test_binary_search_bracket_equals_the_scan_on_216_cells(self):
+        kinds = set()
+        for d in _ORACLE_DEGREES:
+            for c in _ORACLE_SCALES:
+                expected = _outcome(_scan_solve_qc, d, c)
+                assert _outcome(solve_qc, d, c) == expected, (d, c)
+                if isinstance(expected, CriticalResult):
+                    kinds.add("past last grid point" if expected.q_c > 64 / (65 * d) else "on grid")
+                else:
+                    kinds.add(expected[1].split(";")[0][:30])
+        assert kinds == {"past last grid point", "on grid",
+                         "no sign change of G - 1 found ", "lower-bound ordering violated "}
+
+    @pytest.mark.parametrize("d, c", [(2, 1.0), (2, 0.01), (5, 0.3), (100, 1.0), (2, 1e-12)])
+    def test_bracket_takes_at_most_eight_sign_tests(self, d, c, monkeypatch):
+        calls = []
+
+        class Bracketed(Exception):
+            pass
+
+        def counting(*args):
+            calls.append(args)
+            return _series_exceeds_one(*args)
+
+        def stop_at_the_bisection(*args):
+            raise Bracketed
+
+        monkeypatch.setattr(critical, "_series_exceeds_one", counting)
+        monkeypatch.setattr(critical, "_bisect", stop_at_the_bisection)
+        with pytest.raises((Bracketed, BracketError)):
+            solve_qc(d, c)
+        assert 1 <= len(calls) <= 8
+
     def test_d2_lands_in_tabulated_bracket(self):
         res = solve_qc(2, 1.0)
         assert 0.269594 <= res.q_c <= 0.277206
@@ -275,6 +355,11 @@ class TestModelUpperBounds:
             assert removal_bounds(d).lower == pytest.approx(
                 (d + 1) / (2 * d - 0.25), rel=1e-12
             )
+
+    def test_removal_upper_stays_below_one(self):
+        """(d + 1) times the cone upper bound peaks at d = 2, far below 1."""
+        uppers = [removal_bounds(d).upper for d in [*range(2, 5000, 7), *(10**k for k in range(4, 19))]]
+        assert max(uppers) == uppers[0] < 0.84
 
     def test_removal_d3_upper_is_scaled_cone_value(self):
         assert removal_bounds(3).upper == pytest.approx(4 * 0.176559, abs=4e-6)

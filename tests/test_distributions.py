@@ -2,6 +2,7 @@
 
 import math
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -189,6 +190,22 @@ class TestDefectMass:
     def test_tol_validation(self):
         with pytest.raises(ParameterError):
             defect_mass(HazardSpec(0.5, 0.5), 0.0)
+
+    @pytest.mark.parametrize("c", [1.0, 0.5, 1e-3])
+    @pytest.mark.parametrize("q", [1e-9, 0.3, 0.9, 0.999, 0.9999])
+    @pytest.mark.parametrize("tol", [1e-6, 1e-12, 1e-15])
+    def test_binary_search_finds_the_index_of_the_linear_search(self, c, q, tol):
+        K = 1
+        while c * q ** (K + 1) / ((1.0 - q) * (1.0 - c * q ** (K + 1))) > tol:
+            K += 1
+        assert defect_mass(HazardSpec(c, q), tol) == pochhammer(c * q, q, K)
+
+    @pytest.mark.parametrize("q", [1 - 1e-7, 1 - 1e-9, 1 - 2**-53])
+    def test_an_index_past_the_term_cap_fails_fast(self, q):
+        start = time.perf_counter()
+        with pytest.raises(ParameterError, match="too close to 1"):
+            defect_mass(HazardSpec(1.0, q))
+        assert time.perf_counter() - start < 1.0
 
 
 TOL_CALLS = {

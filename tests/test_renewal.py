@@ -23,7 +23,8 @@ from frogcrit import (
     solve_qc,
 )
 from frogcrit.distributions import gap_head, pmf_sequence
-from frogcrit.renewal import _generating_function, _renewal_recursion
+from frogcrit import renewal
+from frogcrit.renewal import _generating_function, _renewal_recursion, _series_exceeds_one
 
 from reference_tables import GENFUNC_C1_Q025_A2
 
@@ -445,6 +446,15 @@ class TestConvergenceRate:
         res = convergence_rate(HazardSpec(c, q))
         assert res.residual <= 1e-12
         assert abs(res.gamma * q * (1.0 + c) - 1.0) <= 1e-12
+
+    def test_sign_test_raises_past_the_term_cap(self, monkeypatch):
+        """A sign that needs more terms than the cap is refused; one within it is unchanged."""
+        far, near = (1.0, 0.25, 2.0), (1e-3, 0.3, convergence_rate(HazardSpec(1e-3, 0.3)).gamma)
+        signs = _series_exceeds_one(*far), _series_exceeds_one(*near)
+        monkeypatch.setattr(renewal, "_MAX_SERIES_TERMS", 1000)
+        assert _series_exceeds_one(*far) == signs[0]
+        with pytest.raises(ParameterError, match="needs over 1000 terms"):
+            _series_exceeds_one(*near)
 
     @pytest.mark.parametrize("q", [1e-310, 5e-324])
     def test_subnormal_q_is_rejected_for_its_unrepresentable_rate(self, q):
