@@ -56,7 +56,9 @@ _SIMULATOR_NAMES = (
     "simulate_firework",
     "simulate_frog",
 )
-__all__ = [name for name in globals() if not name.startswith("_")] + list(_SIMULATOR_NAMES)
+# classes and functions: the imports above also bind their submodules here
+__all__ = [name for name, value in globals().items() if callable(value) and not name.startswith("_")]
+__all__ += _SIMULATOR_NAMES
 
 
 def __getattr__(name):

@@ -93,8 +93,6 @@ def survival_series(d: int, c: float, q: float, tol: float = 1e-12) -> float:
     """
     check_degree(d)
     HazardSpec(c, q)  # the checks on c and q
-    if d * q >= 1.0:
-        raise ParameterError(f"series diverges for d*q >= 1, got d*q = {d * q}")
     return _generating_function(c, q, d, tol)[0]
 
 
@@ -107,13 +105,17 @@ def solve_qc(d: int, c: float, tol: float = 1e-12) -> CriticalResult:
     on a 64-point grid and the edge point (1 - 1e-9)/d, in at most 7 sign
     tests; it skips the first point, where G <= c d q/(1 - d q) = c/64.  The
     residual |G(q_c) - 1| is summed with a tighter tolerance than the solve;
-    where it would need over _MAX_SERIES_TERMS terms (at the default tol, c
-    below about 1.6e-6), ParameterError comes before the bisection.
+    where it would need over _MAX_SERIES_TERMS terms (c below about 1.6e-6 at
+    the default tol), ParameterError comes before the sign tests, unless
+    c d q/(1 - d q) <= 1 at the edge point, so that no root lies below it.
     """
     _validate_dc(d, c)
     check_tol(tol)
     edge = 1.0 / d
     grid = [edge * j / (_SCAN_POINTS + 1) for j in range(1, _SCAN_POINTS + 1)] + [edge * (1.0 - 1e-9)]
+    series_tol = max(1e-15, tol * 1e-2)
+    if c * (d * grid[-1]) / (1.0 - d * grid[-1]) > 1.0:
+        _check_series_terms(c, 1.0 / (1.0 + c), d, series_tol)
 
     def above(q):
         return _series_exceeds_one(c, q, d)
@@ -122,8 +124,6 @@ def solve_qc(d: int, c: float, tol: float = 1e-12) -> CriticalResult:
     if j == len(grid):
         raise BracketError("no sign change of G - 1 found on (0, 1/d)")
     lo, hi = grid[j - 1], grid[j]
-    series_tol = max(1e-15, tol * 1e-2)
-    _check_series_terms(c, 1.0 / (1.0 + c), d, series_tol)
 
     def converged(lo, hi):
         # the residual series runs only once the bracket is within tol
@@ -179,18 +179,13 @@ def bounds_on_d(c: float, q: float) -> tuple[float, float]:
 
 
 def _invert_decreasing(expr, d: int, c: float, q_max: float, tol: float) -> float:
-    # root of expr(c, q) = d on (0, q_max]; expr decreases from ~1/((c+1)q)
+    # root of expr(c, q) = d on (0, q_max]; expr decreases from ~1/((c+1)q) to below 2 <= d
     lo = 1e-12
-    hi = q_max
     if not expr(c, lo) > d:
         raise BracketError(
             f"no crossing: expression is already below d={d} at q={lo}"
         )
-    if not expr(c, hi) < d:
-        raise BracketError(
-            f"no crossing: expression stays above d={d} on the valid q-interval"
-        )
-    lo, hi = _bisect(lambda q: not expr(c, q) > d, lo, hi, lambda lo, hi: hi - lo <= tol)
+    lo, hi = _bisect(lambda q: not expr(c, q) > d, lo, q_max, lambda lo, hi: hi - lo <= tol)
     return 0.5 * (lo + hi)
 
 
@@ -199,8 +194,9 @@ def invert_bounds_c2(d: int, c: float, tol: float = 1e-12) -> tuple[float, float
 
     q_lower is the root of the lower-d expression = d and q_upper the
     root of the upper-d expression = d; both expressions decrease from
-    +inf on their valid q-interval, so each crossing is monotone and is
-    verified by endpoint signs.
+    +inf on their valid q-interval to below 2 (at most the golden ratio,
+    at c = 1), so each crossing is monotone; BracketError when d is so
+    large that the expression is already below it at q = 1e-12.
 
     q_lower <= q_c always holds.  q_upper rests on the product minorant
     1 - c q - c q^2, which fails for c < 1: for small enough c the root
@@ -211,11 +207,11 @@ def invert_bounds_c2(d: int, c: float, tol: float = 1e-12) -> tuple[float, float
     _validate_dc(d, c)
     check_tol(tol)
     eps = 1e-12
-    # discriminant-valid endpoints, clipped into (0, 1)
-    m = (c + 1.0) ** 2 / (4.0 * c * c)
-    edge_lower = min(m, 1.0) - eps
+    # discriminant-valid endpoints, clipped into (0, 1): the lower one, min(m, 1), is 1 for
+    # c <= 1; the upper one is clipped for c <= 0.5469, also where c^2 underflows to 0
+    m = (c + 1.0) ** 2 / (4.0 * c * c) if c * c else math.inf
     edge_upper = min((-1.0 + math.sqrt(1.0 + 4.0 * m)) / 2.0, 1.0) - eps
-    q_lower = _invert_decreasing(_lower_d_expr, d, c, edge_lower, tol)
+    q_lower = _invert_decreasing(_lower_d_expr, d, c, 1.0 - eps, tol)
     q_upper = _invert_decreasing(_upper_d_expr, d, c, edge_upper, tol)
     return q_lower, q_upper
 

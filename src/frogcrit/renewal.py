@@ -204,6 +204,8 @@ def convergence_rate(spec: HazardSpec) -> RateResult:
     up at the radius of convergence 1/q, so a root always exists; F is
     strictly increasing, so it is unique.  gamma is bisected to float
     resolution, and the residual |F(gamma) - 1| is summed to within 1e-14.
+    Past _MAX_SERIES_TERMS terms of it, ParameterError comes before the sign
+    tests, unless c aq/(1 - aq) <= 1 at hi, so that no root lies below hi.
     """
     c, q = spec.c, spec.q
     lo = 1.0 + 1e-12
@@ -217,13 +219,14 @@ def convergence_rate(spec: HazardSpec) -> RateResult:
         hi = math.nextafter(hi, 0.0)
     if lo * q >= 1.0 or hi <= lo:
         raise ParameterError(f"q = {q} leaves no room for a rate in (1, 1/q)")
+    if c * (hi * q) / (1.0 - hi * q) > 1.0:
+        _check_series_terms(c, 1.0 / (1.0 + c), 1.0 / ((1.0 + c) * q), _RESIDUAL_TOL)
     if _series_exceeds_one(c, q, lo):
         raise BracketError(
             "F(1) >= 1: the gap law is not defective enough to bracket a root"
         )
     if not _series_exceeds_one(c, q, hi):
         raise BracketError("F stays below 1 up to the radius of convergence")
-    _check_series_terms(c, 1.0 / (1.0 + c), 1.0 / ((1.0 + c) * q), _RESIDUAL_TOL)
     lo, hi = _bisect(lambda alpha: _series_exceeds_one(c, q, alpha), lo, hi)
     gamma = 0.5 * lo + 0.5 * hi
     value, K = _generating_function(c, q, gamma, _RESIDUAL_TOL)

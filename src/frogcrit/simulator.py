@@ -220,14 +220,13 @@ def _frog_levels(keys, d, thresholds, max_depth, bases, cap) -> np.ndarray | Non
     level_start = [np.uint64(b) for b in bases[: max_depth + 2]]
     deepest = np.zeros(keys.size, dtype=np.int64)  # max_depth once retired
     activated = np.ones(keys.size, dtype=np.int64)  # vertices per replicate
-    total = keys.size  # activated.sum(): no entry passes cap before it does
     rep = slot = np.arange(keys.size)  # records: rep, num; walkers: slot, draw, left
     num = np.zeros(keys.size, dtype=np.uint64)
     draw = np.ones(keys.size, dtype=np.uint64)
     left = _reach_from_thresholds(uniforms(keys, 0, 0), thresholds, max_depth)
     deepest[left == max_depth] = max_depth  # retired: a walker is bound for max_depth
     for depth in range(max_depth):
-        if total > cap and np.any((activated > cap) & (deepest < max_depth)):
+        if np.any((activated > cap) & (deepest < max_depth)):
             raise ActivationCapError(f"activated set exceeded cap of {cap} vertices")
         live = np.flatnonzero((left > 0) & (deepest < max_depth)[rep][slot])
         if live.size == 0:
@@ -255,7 +254,6 @@ def _frog_levels(keys, d, thresholds, max_depth, bases, cap) -> np.ndarray | Non
         num = _child_number(num[parent], depth, choice[owner], d, level_start)
         deepest[rep] = depth + 1
         activated += np.bincount(rep, minlength=keys.size)
-        total += rep.size
         budget = max_depth - depth - 1
         new_left = _reach_from_thresholds(uniforms(keys[rep], num, 0), thresholds, budget)
         deepest[rep[new_left == budget]] = max_depth

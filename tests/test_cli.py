@@ -101,14 +101,28 @@ def test_tol_outside_zero_to_inf_exits_2(command, tol, capsys):
     assert err == f"error: tol must be in (0, inf), got {float(tol)}\n"
 
 
-@pytest.mark.parametrize("args", ["qc --d 2 --c 1e-6", "gamma --c 1e-6 --q 0.3"])
+@pytest.mark.parametrize("args", ["qc --d 2 --c 1e-6", "qc --d 2 --c 1e-7", "qc --d 2 --c 1e-8",
+                                  "gamma --c 1e-6 --q 0.3", "gamma --c 1e-9 --q 0.3", "gamma --c 3e-13 --q 0.3"])
 def test_a_root_whose_residual_passes_the_term_cap_exits_2_fast(args, capsys):
-    """Near c = 0 the residual series needs over 20 million terms; the solvers refuse before bisecting."""
+    """Near c = 0 the residual series needs over 20 million terms; the solvers refuse before any sign test.
+
+    The message names the root's residual, not a sign test: none was summed to the term cap.
+    """
     start = time.perf_counter()
     code, out, err = run_cli(args.split(), capsys)
     assert time.perf_counter() - start < 10.0
     assert (code, out) == (2, "")
     assert err.endswith("is too close to 1/q for tol=1e-14\n")
+
+
+@pytest.mark.parametrize("args, message", [
+    ("gamma --c 1 --q 0.99", "F(1) >= 1: the gap law is not defective enough to bracket a root"),
+    ("gamma --c 1e-13 --q 0.3", "F stays below 1 up to the radius of convergence"),
+    ("qc --d 2 --c 1e-12", "no sign change of G - 1 found on (0, 1/d)"),
+])
+def test_a_root_out_of_bracket_exits_3(args, message, capsys):
+    code, out, err = run_cli(args.split(), capsys)
+    assert (code, out, err) == (3, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "0"])

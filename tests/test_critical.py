@@ -222,6 +222,40 @@ class TestInvertBoundsC2:
                 q_lo, q_hi = invert_bounds_c2(d, c)
                 assert q_lo <= solve_qc(d, c).q_c <= q_hi
 
+    def test_both_expressions_stay_below_two_at_the_top_of_their_interval(self, monkeypatch):
+        """Why the inversion checks only the bottom of its interval: at the top, expr < 2 <= d.
+
+        The grid spans 5e-324 (where 4 c^2 underflows to 0), both sides of
+        c = 0.5469 (where the upper interval leaves its clip at 1), the
+        self-avoiding scales d/(d+1) and c = 1, where the upper expression
+        tends to the golden ratio 2/((c+1) r) with r^2 + r = 1.
+        """
+        invert = critical._invert_decreasing
+        at_top = []
+
+        def recording(expr, d, c, q_max, tol):
+            at_top.append((expr(c, q_max), c))
+            return invert(expr, d, c, q_max, tol)
+
+        monkeypatch.setattr(critical, "_invert_decreasing", recording)
+        scales = [5e-324, 1e-170, 1e-150, 1e-12, 1e-3, 0.25, 0.5, 0.5468, 0.547, 0.75,
+                  *(d / (d + 1.0) for d in (2, 3, 10, 100, 10_000)), 1.0]
+        for c in scales:
+            invert_bounds_c2(2, c)
+        assert len(at_top) == 2 * len(scales)
+        value, c = max(at_top)
+        assert value < 2.0 and c == 1.0
+        assert value == pytest.approx((1.0 + math.sqrt(5.0)) / 2.0, rel=1e-5)
+
+    def test_scales_where_four_c_squared_underflows_invert_as_1e_160(self):
+        expected = (0.49999999999954525, 0.49999999999954525)
+        for c in (1e-160, 1e-170, 1e-300, 5e-324):
+            assert invert_bounds_c2(2, c) == expected, c
+
+    def test_a_degree_past_the_bottom_of_the_interval_is_a_bracket_error(self):
+        with pytest.raises(BracketError, match=r"^no crossing: expression is already below d=1000000000000 at q=1e-12$"):
+            invert_bounds_c2(10**12, 1.0)
+
     def test_upper_bracket_defect_small_c(self):
         """The upper inversion undershoots the root at small c, not only at d=2.
 

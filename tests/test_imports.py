@@ -69,6 +69,11 @@ def test_public_name_resolves_and_is_listed(name):
     assert name in frogcrit.__all__
 
 
+def test_all_lists_the_public_names_and_no_submodule():
+    assert set(frogcrit.__all__) == set(PUBLIC_NAMES)
+    assert len(frogcrit.__all__) == len(PUBLIC_NAMES)
+
+
 def test_unknown_name_is_an_attribute_error():
     with pytest.raises(AttributeError, match="has no attribute 'simulate_cone'"):
         frogcrit.simulate_cone
