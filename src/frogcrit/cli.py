@@ -8,19 +8,32 @@ Output formats:
   plain  aligned columns, probabilities at 6 decimals
   csv    header row + rows; first column carries the schema version
   jsonl  one JSON object per row with a "schema" key
+
+Only `simulate` loads numpy: the simulator's names (`simulate_frog`,
+`simulate_firework`, `FrogSimConfig`) resolve on first use through the
+module `__getattr__`, so `qc`, `table` and `gamma` run on the plain-Python
+exact layer.  `json` loads only for `--format jsonl`.
 """
 
 import argparse
-import json
 import sys
 
+from . import _SIMULATOR_NAMES
 from .critical import Model, bound_table, solve_qc
-from .distributions import HazardSpec, TreeParams
+from .distributions import _DEFAULT_CAP, HazardSpec, TreeParams
 from .errors import ActivationCapError, BracketError, ParameterError
 from .renewal import convergence_rate, growth_classifier, renewal_probabilities
-from .simulator import _DEFAULT_CAP, FrogSimConfig, simulate_firework, simulate_frog
 
 _FORMATS = ("plain", "csv", "jsonl")
+
+
+def __getattr__(name):
+    # PEP 562: the simulator, and numpy with it, loads when one of its names is read
+    if name in _SIMULATOR_NAMES:
+        from . import simulator
+
+        return getattr(simulator, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def parse_d_list(text: str) -> list[int]:
@@ -76,6 +89,8 @@ def _emit(schema: str, header: list[str], rows: list[list], fmt: str,
             print(",".join([schema] + [_fmt_csv(v) for v in row]), file=out)
         return
     if fmt == "jsonl":
+        import json
+
         for row in rows:
             obj = {"schema": schema}
             obj.update(zip(header, row))
@@ -135,9 +150,11 @@ def _cmd_gamma(args, out) -> int:
 
 
 def _cmd_simulate(args, out) -> int:
+    # through the module: a name bench/tracing.py replaced with setattr is the one that runs
+    cli = sys.modules[__name__]
     if args.engine == "firework":
         spec = HazardSpec(args.c, args.q)
-        outcome = simulate_firework(spec, args.n, args.replicates, args.seed)
+        outcome = cli.simulate_firework(spec, args.n, args.replicates, args.seed)
         exact = renewal_probabilities(spec, args.n).values
         header = ["site", "hits", "p_hat", "u_exact", "z"]
         rows = []
@@ -150,12 +167,12 @@ def _cmd_simulate(args, out) -> int:
         _emit("firework.v1", header, rows, args.format, out)
         return 0
     params = TreeParams(args.d, args.c, args.q)
-    config = FrogSimConfig(
+    config = cli.FrogSimConfig(
         params=params, max_depth=args.max_depth,
         replicates=args.replicates, seed=args.seed, activation_cap=args.cap,
     )
     verdict = growth_classifier(args.d, params.hazard_spec, 200)
-    outcome = simulate_frog(config)
+    outcome = cli.simulate_frog(config)
     fractions = outcome.reach_fractions()
     header = ["depth", "count", "reach_fraction"]
     rows = [

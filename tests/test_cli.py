@@ -5,11 +5,13 @@ import io
 import json
 import re
 import time
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
-from frogcrit import ParameterError, explicit_bounds_c3, invert_bounds_c2
+from frogcrit import FrogSimConfig, ParameterError, explicit_bounds_c3, invert_bounds_c2
+from frogcrit import cli
 from frogcrit.cli import main, parse_d_list
 
 from reference_tables import TABLE_CONE, TABLE_DEGREES
@@ -339,6 +341,29 @@ class TestSimulateCommand:
         )
         assert (code, out) == (3, "")
         assert err == "error: activated set exceeded cap of 5 vertices\n"
+
+    def test_frog_runs_at_the_config_default_cap_without_the_flag(self, capsys, monkeypatch):
+        default = next(f.default for f in fields(FrogSimConfig) if f.name == "activation_cap")
+        simulate_frog, seen = cli.simulate_frog, []
+
+        def recording(config):
+            seen.append(config)
+            return simulate_frog(config)
+
+        monkeypatch.setattr(cli, "simulate_frog", recording)
+        code, _, err = run_cli(
+            "simulate frog --d 2 --c 1 --q 0.3 --max-depth 4 --replicates 10 --seed 1".split(), capsys
+        )
+        assert (code, err) == (0, "")
+        assert seen[0].activation_cap == default == 10_000_000
+
+    def test_frog_cap_below_one_exits_2(self, capsys):
+        code, out, err = run_cli(
+            "simulate frog --d 2 --c 1 --q 0.3 --max-depth 4 --replicates 10 --seed 1 --cap 0".split(),
+            capsys,
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: activation_cap must be >= 1, got 0\n"
 
     def test_frog_rejects_depths_whose_vertex_numbers_alias(self, capsys):
         args = ["simulate", "frog", "--d", "10", "--c", "1", "--q", "0.01",

@@ -1,7 +1,8 @@
 """The exact layer runs without numpy, and every public name still resolves.
 
-frogcrit/__init__ loads the simulator, the only numpy user among its names,
-on first use, so solving, rates, classification and tables never import it.
+frogcrit/__init__ and frogcrit.cli load the simulator, the only numpy user
+among their names, on first use, so solving, rates, classification, tables
+and the qc, gamma and table commands never import it.
 """
 
 import os
@@ -12,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import frogcrit
+from frogcrit import cli
 
 # Every name the package exported when the simulator was imported eagerly.
 PUBLIC_NAMES = """
@@ -51,13 +53,57 @@ print(sorted(name for name in sys.modules if name.split(".")[0] == "numpy"))
 """
 
 
-def test_the_exact_layer_never_imports_numpy():
+# The exact commands, then the commands given as arguments, through cli.main in one process.
+CLI_CALLS = """
+import contextlib
+import io
+import sys
+
+from frogcrit import Model, cli
+
+
+def loaded():
+    return sorted(name for name in sys.modules if name.split(".")[0] == "numpy")
+
+
+commands = ["qc --d 2 --c 1", "gamma --c 1 --q 0.25"]
+commands += [f"table --model {model.value} --d 2..10,15,100" for model in Model]
+for command in commands:
+    for fmt in ("plain", "csv", "jsonl"):
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(f"{command} --format {fmt}".split()) == 0, (command, fmt)
+print(loaded())
+for command in sys.argv[1:]:
+    assert cli.main(command.split()) == 0, command
+print("numpy" in loaded())
+"""
+SIMULATIONS = (
+    "simulate firework --c 1 --q 0.25 --n 30 --replicates 20000 --seed 7 --format csv",
+    "simulate frog --d 4 --c 0.8 --q 0.2 --max-depth 1 --replicates 2000 --seed 0 --format csv",
+)
+
+
+def _fresh_python(code, *args):
     env = dict(os.environ, PYTHONPATH=str(Path(frogcrit.__file__).parents[1]))
     proc = subprocess.run(
-        [sys.executable, "-c", EXACT_CALLS], capture_output=True, text=True, env=env, timeout=60
+        [sys.executable, "-c", code, *args], capture_output=True, text=True, env=env, timeout=60
     )
     assert (proc.returncode, proc.stderr) == (0, "")
-    assert proc.stdout == "[]\n"
+    return proc.stdout
+
+
+def test_the_exact_layer_never_imports_numpy():
+    assert _fresh_python(EXACT_CALLS) == "[]\n"
+
+
+def test_the_exact_cli_commands_never_import_numpy_and_simulate_does():
+    golden = dict(
+        block.split("\n", 1)
+        for block in (Path(__file__).parent / "cli_golden.txt").read_text().split("$ ")[1:]
+    )
+    before, rest = _fresh_python(CLI_CALLS, *SIMULATIONS).split("\n", 1)
+    assert before == "[]"
+    assert rest == "".join(golden[command] for command in SIMULATIONS) + "True\n"
 
 
 @pytest.mark.parametrize("name", PUBLIC_NAMES)
@@ -77,5 +123,7 @@ def test_all_lists_the_public_names_and_no_submodule():
 def test_unknown_name_is_an_attribute_error():
     with pytest.raises(AttributeError, match="has no attribute 'simulate_cone'"):
         frogcrit.simulate_cone
+    with pytest.raises(AttributeError, match="'frogcrit.cli' has no attribute 'simulate_cone'"):
+        cli.simulate_cone
     with pytest.raises(ImportError):
         exec("from frogcrit import simulate_cone", {})
