@@ -52,7 +52,6 @@ __version__ = "0.1.0"
 _SIMULATOR_NAMES = (
     "FrogSimConfig",
     "SimOutcome",
-    "estimate_branch_hit",
     "simulate_firework",
     "simulate_frog",
 )

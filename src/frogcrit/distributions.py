@@ -16,6 +16,7 @@ truncation carries a tail bound from the majorant f_k <= c q^k.
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import count, islice
@@ -51,9 +52,11 @@ class HazardSpec:
 
 
 def check_degree(d) -> None:
-    """Raise ParameterError unless the tree degree d is an integer >= 2."""
+    """Raise ParameterError unless the tree degree d is an integer from 2 to the largest float."""
     if not isinstance(d, int) or d < 2:
         raise ParameterError(f"d must be an integer >= 2, got {d}")
+    if d > sys.float_info.max:
+        raise ParameterError(f"d must be at most the largest float, got a {d.bit_length()}-bit integer")
 
 
 def check_tol(tol) -> None:

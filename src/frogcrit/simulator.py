@@ -15,9 +15,8 @@ of runs informing site n estimates the exact renewal probability u_n.
 All randomness is counter-based and keyed by (seed, replicate, entity,
 draw index), so outcomes are reproducible under any execution order and
 runs that share a seed are pathwise coupled across parameter values.
-Draw indices: the firework radius uses 0; the branch-restricted
-estimator uses 1 (walk reach) and 2 (first off-branch turn); tree
-walkers use 0 for their reach and j >= 1 for the j-th path choice.
+Draw indices: the firework radius uses 0; tree walkers use 0 for their
+reach and j >= 1 for the j-th path choice.
 """
 
 from dataclasses import dataclass
@@ -55,7 +54,7 @@ def _key_blocks(seed: int, replicates: int, block: int):
 
 
 def _check_run(replicates: int, seed: int, n: int = 1) -> None:
-    # n is the line length of the line engines; the tree engine has none
+    # n is the line length of the line engine; the tree engine has none
     if n < 1:
         raise ParameterError(f"n must be >= 1, got {n}")
     if replicates < 1:
@@ -324,19 +323,23 @@ def _informed_counts(radii: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]
     return hits, depth_hist
 
 
-def _line_hits(seed: int, replicates: int, n: int, radius) -> np.ndarray:
-    """hits[k] = replicates whose informed prefix of the line reaches site k.
+def simulate_firework(spec: HazardSpec, n: int, replicates: int, seed: int) -> SimOutcome:
+    """Line spreading from site 0 with i.i.d. radii P(D >= k) = c q^k.
 
-    radius(keys, site) draws the site's radii for the replicates keyed by
-    `keys`.  Each block of _LINE_BLOCK replicates walks the sites, drawing
-    radii only for replicates whose prefix reaches the site, so memory is
+    branch_hits[k] / replicates estimates the renewal probability u_k.
+    Radii are inverse transforms of per-(replicate, site) uniforms, so
+    two runs sharing a seed are coupled monotonically in q.  Each block of
+    _LINE_BLOCK replicates walks the sites, drawing radii only for
+    replicates whose informed prefix reaches the site, so memory is
     O(block + n).  Every draw is keyed: hits equal ``_informed_counts`` on
     the full radius matrix, whatever the block size.
     """
+    _check_run(replicates, seed, n)
+    c, q = spec.c, spec.q
     hits = np.zeros(n + 1, dtype=np.int64)
     for keys in _key_blocks(seed, replicates, _LINE_BLOCK):
         hits[0] += keys.size
-        reach = radius(keys, 0)  # max of i + D_i over informed i so far
+        reach = _radii_from_uniforms(uniforms(keys, 0, 0), c, q)  # max of i + D_i over informed i
         for j in range(1, n + 1):
             informed = reach >= j
             keys, reach = keys[informed], reach[informed]
@@ -344,48 +347,10 @@ def _line_hits(seed: int, replicates: int, n: int, radius) -> np.ndarray:
             if keys.size == 0:
                 break
             if j < n:
-                reach = np.maximum(reach, j + radius(keys, j))
-    return hits
-
-
-def simulate_firework(spec: HazardSpec, n: int, replicates: int, seed: int) -> SimOutcome:
-    """Line spreading from site 0 with i.i.d. radii P(D >= k) = c q^k.
-
-    branch_hits[k] / replicates estimates the renewal probability u_k.
-    Radii are inverse transforms of per-(replicate, site) uniforms, so
-    two runs sharing a seed are coupled monotonically in q.  _line_hits
-    propagates them in blocks, so memory is O(block + n).
-    """
-    _check_run(replicates, seed, n)
-
-    def radius(keys, site):
-        return _radii_from_uniforms(uniforms(keys, site, 0), spec.c, spec.q)
-
-    hits = _line_hits(seed, replicates, n, radius)
+                reach = np.maximum(reach, j + _radii_from_uniforms(uniforms(keys, j, 0), c, q))
     # the informed set is a prefix: exactly hits[k] - hits[k + 1] stop at site k
     depth_hist = hits.copy()
     depth_hist[:-1] -= hits[1:]
     return SimOutcome(
         reached_depth=depth_hist, branch_hits=hits, replicates=replicates, seed=seed
     )
-
-
-def estimate_branch_hit(params: TreeParams, n: int, replicates: int, seed: int) -> float:
-    """Estimate the probability that a fixed vertex at distance n activates.
-
-    Simulates the tree dynamics restricted to one branch: each site's
-    transmission distance is the minimum of its walker's reach
-    (P >= m: c (d q)^m) and its first off-branch turn (P >= m: d^-m),
-    which compounds to the line law c q^m.  Statistically matches
-    ``simulate_firework`` on (c, q) while sampling through a different
-    factorization; both propagate through _line_hits.
-    """
-    _check_run(replicates, seed, n)
-    d, c, dq = params.d, params.c, params.d * params.q
-
-    def radius(keys, site):
-        u = uniforms(keys, site, 1)
-        reach = np.where(u <= c, np.inf, 0.0) if dq >= 1.0 else _radii_from_uniforms(u, c, dq)
-        return np.minimum(reach, np.floor(np.log(uniforms(keys, site, 2)) / -np.log(d)))
-
-    return _line_hits(seed, replicates, n, radius)[n] / replicates

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import re
+import sys
 import time
 from dataclasses import fields
 from pathlib import Path
@@ -125,6 +126,21 @@ def test_a_root_whose_residual_passes_the_term_cap_exits_2_fast(args, capsys):
 def test_a_root_out_of_bracket_exits_3(args, message, capsys):
     code, out, err = run_cli(args.split(), capsys)
     assert (code, out, err) == (3, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("args", [
+    "qc --d {d} --c 1",
+    "table --model cone --d {d}",
+    "table --model cone --d 2,{d}",
+    "simulate frog --d {d} --c 1 --q 0.1 --max-depth 2 --replicates 10 --seed 1",
+])
+@pytest.mark.parametrize("d, bits", [(10**400, 1329), (int(sys.float_info.max) + 1, 1024)],
+                         ids=["10^400", "float_max+1"])
+def test_a_degree_past_the_largest_float_exits_2(args, d, bits, capsys):
+    """Every command takes d into float arithmetic, where such a d overflows."""
+    code, out, err = run_cli(args.format(d=d).split(), capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: d must be at most the largest float, got a {bits}-bit integer\n"
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "0"])

@@ -1,6 +1,7 @@
 """Tests for the critical-parameter solver, bound inversion, and model maps."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -172,6 +173,14 @@ class TestSolveQc:
             solve_qc(2, 1.5)
         with pytest.raises(ParameterError):
             solve_qc(2, 1.0, tol=0.0)
+
+    def test_a_degree_past_the_largest_float_is_a_parameter_error(self):
+        """1/d overflows for such a d; at the largest float itself the sign test brackets."""
+        for d in (int(sys.float_info.max) + 1, 10**400):
+            with pytest.raises(ParameterError, match="^d must be at most the largest float"):
+                solve_qc(d, 1.0)
+        with pytest.raises(BracketError):
+            solve_qc(int(sys.float_info.max), 1.0)
 
 
 class TestBoundsOnD:

@@ -246,6 +246,14 @@ class TestSpecValidation:
         params = TreeParams(2, 0.5, 0.5)  # d*q = 1 is allowed when c < 1
         assert params.hazard_spec == HazardSpec(0.5, 0.5)
 
+    def test_tree_params_degree_past_the_largest_float(self):
+        """d q overflows for such a d, whatever q; the largest float itself is a degree."""
+        top = int(sys.float_info.max)
+        assert TreeParams(top, 1.0, 1e-309).d == top
+        for d in (top + 1, 10**400):
+            with pytest.raises(ParameterError, match="^d must be at most the largest float"):
+                TreeParams(d, 1.0, 1e-309)
+
 
 def test_pmf_sequence_matches_pointwise():
     for spec in random_specs(4, q_hi=0.97):

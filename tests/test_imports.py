@@ -26,7 +26,7 @@ PUBLIC_NAMES = """
     interarrival_survival pochhammer ActivationCapError BracketError
     ParameterError Growth RateResult RenewalProbs convergence_rate
     generating_function growth_classifier growth_sequence renewal_probabilities
-    FrogSimConfig SimOutcome estimate_branch_hit simulate_firework simulate_frog
+    FrogSimConfig SimOutcome simulate_firework simulate_frog
 """.split()
 
 EXACT_CALLS = """

@@ -1,7 +1,9 @@
 """Property tests: the pathwise coupling that shared seeds give both engines,
-the agreement of the tree engine with the scalar work queue, and the round
-trip of the visit-probability map r(p)."""
+the agreement of the tree engine with the scalar work queue, the round
+trip of the visit-probability map r(p), and the CLI's exit codes on any degree."""
 
+import contextlib
+import io
 import math
 from unittest import mock
 
@@ -21,7 +23,7 @@ from frogcrit import (  # noqa: E402
     simulate_firework,
     simulate_frog,
 )
-from frogcrit import simulator  # noqa: E402
+from frogcrit import cli, simulator  # noqa: E402
 from frogcrit.distributions import gap_head, pmf_sequence  # noqa: E402
 from frogcrit.rng import replicate_key  # noqa: E402
 from frogcrit.simulator import _frog_replicate, _level_bases  # noqa: E402
@@ -120,6 +122,23 @@ def test_level_engine_and_scalar_queue_give_one_histogram(d, c, dq, max_depth, r
     ]
     got = simulate_frog(config).reached_depth
     assert np.array_equal(got, np.bincount(want, minlength=max_depth + 1))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(d=st.integers(-2, 10**400))
+def test_any_degree_exits_0_2_or_3_with_at_most_one_error_line(d):
+    """A degree below 2 or past the largest float is a domain error, never a traceback."""
+    for args in (
+        f"qc --d {d} --c 1",
+        f"table --model cone --d {d}",
+        f"simulate frog --d {d} --c 1 --q 0.1 --max-depth 2 --replicates 10 --seed 1",
+    ):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(args.split())
+        lines = err.getvalue().splitlines()
+        assert code in (0, 2, 3), (args, code)
+        assert lines == [] or (len(lines) == 1 and lines[0].startswith("error: ")), (args, lines)
 
 
 degrees = st.sampled_from([2, 3, 5, 10, 100, 1000, 10**6])

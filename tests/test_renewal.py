@@ -532,6 +532,10 @@ class TestGrowthClassifier:
             (growth_classifier, 1, 10, "d must be an integer >= 2, got 1"),
             (growth_classifier, 2.5, 10, "d must be an integer >= 2, got 2.5"),
             (growth_classifier, 2, 0, "N must be >= 1, got 0"),
+            pytest.param(growth_sequence, 10**400, 10, "d must be at most the largest float, got a 1329-bit integer",
+                         id="growth_sequence-10^400"),
+            pytest.param(growth_classifier, 10**400, 10, "d must be at most the largest float, got a 1329-bit integer",
+                         id="growth_classifier-10^400"),
         ],
     )
     def test_degree_and_horizon_are_checked_before_the_gaps_are_built(

@@ -15,7 +15,7 @@ from frogcrit import (
     ParameterError,
     SimOutcome,
     TreeParams,
-    estimate_branch_hit,
+    growth_sequence,
     renewal_probabilities,
     simulate_firework,
     simulate_frog,
@@ -430,6 +430,57 @@ class TestLevelEngine:
             assert len(block_sizes) == levels
             assert block_sizes == counts[1 : levels + 1].tolist()
 
+    @pytest.mark.parametrize("d, c, ratio, max_depth, levels, seed", [
+        (2, 1.0, 0.75, 30, 14, 25),
+        (2, 1.0, 1.0, 30, 14, 26),
+        (2, 1.0, 1.05, 30, 14, 27),
+        (3, 0.5, 0.9, 39, 12, 28),
+        (3, 0.5, 1.0, 39, 12, 29),
+    ])
+    def test_mean_level_counts_are_d_to_the_n_times_u_n(self, d, c, ratio, max_depth, levels,
+                                                         seed, monkeypatch):
+        """E Z_n = d^n u_n, with Z_n the vertices activated at depth n.
+
+        Only its own branch reaches a vertex at depth n, and the root's
+        walker enters that branch w.p. 1/(d+1), so the vertex activates
+        w.p. (d/(d+1)) u_n; there are (d+1) d^(n-1) of them.  A block's
+        _child_number calls number its new vertices level by level (see
+        test_one_record_per_activated_vertex).  A replicate stops growing
+        when it retires, which needs a walker from a depth L < levels with
+        reach max_depth - L >= 17: sum_L d^L u_L c (d q)^(max_depth - L)
+        expects at most 16 of the 10^5 replicates to retire before the last
+        tested level (at q/q_c = 1.05), far too few to move a mean by one
+        standard error.  That error is a batch mean over blocks; a block
+        past _WALKERS (None) runs again as halves.
+        """
+        params = TreeParams(d, c, ratio * solve_qc(d, c).q_c)
+        replicates = 10**5
+        sizes = _counting_child_number(monkeypatch)
+        batches = []
+
+        def spy(keys, *args):
+            start = len(sizes)
+            deepest = _frog_levels(keys, *args)
+            if deepest is not None:
+                counts = np.zeros(levels + 1)
+                block_sizes = sizes[start : start + levels]
+                counts[1 : len(block_sizes) + 1] = block_sizes
+                batches.append((keys.size, counts))
+            return deepest
+
+        monkeypatch.setattr(simulator, "_frog_levels", spy)
+        config = FrogSimConfig(params=params, max_depth=max_depth, replicates=replicates, seed=seed)
+        simulate_frog(config)
+        reps = np.array([size for size, _ in batches])
+        totals = np.array([counts for _, counts in batches])
+        assert reps.sum() == replicates
+        mean = totals.sum(axis=0) / replicates
+        spread = ((totals - np.outer(reps, mean)) ** 2).sum(axis=0)
+        se = np.sqrt(len(batches) / (len(batches) - 1) * spread) / replicates
+        exact = growth_sequence(d, params.hazard_spec, levels)
+        z = (mean[1:] - exact[1:]) / se[1:]
+        assert np.all(np.abs(z) <= 4.0), z
+
     def test_a_block_past_the_cap_in_total_runs_uncapped(self):
         """The cap is counted per replicate that has not retired.
 
@@ -570,26 +621,38 @@ class TestSimulateFirework:
         tail = np.cumsum(outcome.reached_depth[::-1])[::-1]
         np.testing.assert_array_equal(outcome.branch_hits, tail)
 
+    def test_seed_range_validation(self):
+        for seed in (-1, 2**64):
+            with pytest.raises(ParameterError, match="64-bit unsigned"):
+                simulate_firework(HazardSpec(0.5, 0.4), 5, 100, seed)
+
+    def test_growth_direction_flips_across_the_critical_point(self):
+        """d^n p_hat grows above q_c and shrinks below it (d=2, c=1).
+
+        p_3 and p_9 come from one run: hitting site 9 implies hitting
+        site 3, so they covary positively and the independent sigma bounds
+        that of their difference.
+        """
+        qc = solve_qc(2, 1.0).q_c
+        replicates = 400_000
+        for offset, expect_growth in ((+0.02, True), (-0.02, False)):
+            spec = HazardSpec(1.0, qc + offset)
+            u = renewal_probabilities(spec, 9).values
+            hits = simulate_firework(spec, 9, replicates, 71).branch_hits
+            v3, v9 = 2**3 * hits[3] / replicates, 2**9 * hits[9] / replicates
+            sigma = math.hypot(
+                2**3 * binom_se(u[3], replicates), 2**9 * binom_se(u[9], replicates)
+            )
+            if expect_growth:
+                assert v9 - v3 > 4 * sigma
+            else:
+                assert v3 - v9 > 4 * sigma
+
 
 def _matrix_line(spec: HazardSpec, n: int, replicates: int, seed: int):
     """Every (replicate, site) radius as one matrix, then one prefix scan."""
     radii = _radii_from_uniforms(uniform_matrix(seed, replicates, n, draw=0), spec.c, spec.q)
     return _informed_counts(radii, n)
-
-
-def _matrix_branch_hit(params: TreeParams, n: int, replicates: int, seed: int) -> float:
-    """estimate_branch_hit as reach and off-branch-turn matrices, then one prefix scan."""
-    d, c, q = params.d, params.c, params.q
-    dq = d * q
-    u_reach = uniform_matrix(seed, replicates, n, draw=1)
-    u_turn = uniform_matrix(seed, replicates, n, draw=2)
-    if dq >= 1.0:
-        reach = np.where(u_reach <= c, np.inf, 0.0)
-    else:
-        reach = _radii_from_uniforms(u_reach, c, dq)
-    on_branch = np.floor(np.log(u_turn) / -np.log(d))
-    hits, _ = _informed_counts(np.minimum(reach, on_branch), n)
-    return hits[n] / replicates
 
 
 class TestFrontierEngine:
@@ -631,16 +694,6 @@ class TestLineBlocks:
             assert np.array_equal(outcome.branch_hits, hits)
             assert np.array_equal(outcome.reached_depth, depth_hist)
 
-    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
-    @pytest.mark.parametrize("params", [TreeParams(2, 1.0, 0.25), TreeParams(2, 0.5, 0.5)],
-                             ids=["dq<1", "dq=1"])
-    @pytest.mark.parametrize("n", [1, 12])
-    def test_branch_hit_bit_equal_to_the_matrix_pipeline_across_block_ends(self, n, params, seed):
-        for replicates in (_LINE_BLOCK - 1, _LINE_BLOCK, _LINE_BLOCK + 1, 2 * _LINE_BLOCK + 3):
-            assert estimate_branch_hit(params, n, replicates, seed) == _matrix_branch_hit(
-                params, n, replicates, seed
-            )
-
 
 def _traced_peak_mib(engine, *args) -> float:
     tracemalloc.start()
@@ -664,11 +717,6 @@ class TestMemoryIsSetByTheBlock:
         self._assert_flat(
             _traced_peak_mib(simulate_firework, spec, 200, 10**5, 9),
             _traced_peak_mib(simulate_firework, spec, 200, 10**6, 9),
-        )
-        params = TreeParams(2, 1.0, 0.25)
-        self._assert_flat(
-            _traced_peak_mib(estimate_branch_hit, params, 20, 10**4, 9),
-            _traced_peak_mib(estimate_branch_hit, params, 20, 10**5, 9),
         )
 
     def test_long_line_keeps_one_extra_per_site_array(self):
@@ -709,72 +757,12 @@ class TestMemoryIsSetByTheBlock:
         assert large < bound and large < 1.25 * small, (small, large)
 
 
-class TestEstimateBranchHit:
-    def test_first_site_probability(self):
-        params = TreeParams(2, 0.7, 0.3)
-        p_hat = estimate_branch_hit(params, 1, 100_000, 41)
-        assert abs(p_hat - 0.21) <= 4 * binom_se(0.21, 100_000)
-
-    def test_matches_renewal_recursion(self):
-        params = TreeParams(2, 1.0, 0.25)
-        u = renewal_probabilities(params.hazard_spec, 12).values
-        replicates = 100_000
-        for n in (3, 8, 12):
-            p_hat = estimate_branch_hit(params, n, replicates, 51)
-            assert abs(p_hat - u[n]) <= 4 * binom_se(u[n], replicates)
-
-    def test_agrees_with_line_engine(self):
-        """Two samplers of the same law agree within combined 4 sigma."""
-        params = TreeParams(3, 0.9, 0.2)
-        n, replicates = 10, 100_000
-        p_branch = estimate_branch_hit(params, n, replicates, 61)
-        fw = simulate_firework(params.hazard_spec, n, replicates, 61)
-        p_line = fw.branch_hits[n] / replicates
-        u = renewal_probabilities(params.hazard_spec, n).values[n]
-        sigma_diff = math.sqrt(2.0) * binom_se(u, replicates)
-        assert abs(p_branch - p_line) <= 4 * sigma_diff
-
-    def test_unit_step_budget_edge(self):
-        # d*q == 1: the walker's reach is infinite with probability c, but
-        # the first off-branch turn still compounds to the line law c q^m
-        params = TreeParams(2, 0.5, 0.5)
-        u = renewal_probabilities(params.hazard_spec, 8).values
-        replicates = 100_000
-        for n in (2, 8):
-            p_hat = estimate_branch_hit(params, n, replicates, 81)
-            assert abs(p_hat - u[n]) <= 4 * binom_se(u[n], replicates)
-
-    def test_seed_range_validation(self):
-        with pytest.raises(ParameterError):
-            simulate_firework(HazardSpec(0.5, 0.5), 5, 100, -1)
-        with pytest.raises(ParameterError):
-            estimate_branch_hit(TreeParams(2, 0.5, 0.4), 5, 100, 2**64)
-
-    def test_growth_direction_flips_across_the_critical_point(self):
-        """d^n p_hat grows above q_c and shrinks below it (d=2, c=1)."""
-        qc = solve_qc(2, 1.0).q_c
-        replicates = 400_000
-        for offset, expect_growth in ((+0.02, True), (-0.02, False)):
-            params = TreeParams(2, 1.0, qc + offset)
-            u = renewal_probabilities(params.hazard_spec, 9).values
-            v3 = 2**3 * estimate_branch_hit(params, 3, replicates, 71)
-            v9 = 2**9 * estimate_branch_hit(params, 9, replicates, 72)
-            sigma = math.hypot(
-                2**3 * binom_se(u[3], replicates), 2**9 * binom_se(u[9], replicates)
-            )
-            if expect_growth:
-                assert v9 - v3 > 4 * sigma
-            else:
-                assert v3 - v9 > 4 * sigma
-
-
 def test_subnormal_scale_informs_nobody_without_warning():
     """u / c overflows to inf for subnormal c; the radius is 0 and stays silent."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         outcome = simulate_firework(HazardSpec(1e-310, 0.5), 5, 10, 1)
         assert outcome.branch_hits.tolist() == [10, 0, 0, 0, 0, 0]
-        assert estimate_branch_hit(TreeParams(2, 1e-310, 0.3), 3, 10, 1) == 0.0
 
 
 def _path_number(path, d):
