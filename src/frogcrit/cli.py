@@ -9,36 +9,42 @@ Output formats:
   csv    header row + rows; first column carries the schema version
   jsonl  one JSON object per row with a "schema" key
 
-Only `simulate` loads numpy: the simulator's names (`simulate_frog`,
-`simulate_firework`, `FrogSimConfig`) resolve on first use through the
-module `__getattr__`, so `qc`, `table` and `gamma` run on the plain-Python
-exact layer.  `json` loads only for `--format jsonl`.
+Every library name a command calls is read through this module, and the
+module `__getattr__` (PEP 562) hands it to the package table, which loads
+its submodule on first use.  So importing the CLI loads only argparse and
+`errors`: `qc` and `table` load the solver, `gamma` and `simulate` the
+renewal layer, and only `simulate` the simulator and numpy.  `json` loads
+only for `--format jsonl`.  Reading through the module also means that a
+name replaced with setattr (as bench/tracing.py does) is the one that runs.
 """
 
 import argparse
 import sys
 
-from . import _SIMULATOR_NAMES
-from .critical import Model, bound_table, solve_qc
-from .distributions import _DEFAULT_CAP, HazardSpec, TreeParams
+from . import _NAMES
 from .errors import ActivationCapError, BracketError, ParameterError
-from .renewal import convergence_rate, growth_classifier, renewal_probabilities
 
 _FORMATS = ("plain", "csv", "jsonl")
+# a table call of this many degrees takes about 100 s (cone rows)
+_MAX_DEGREES = 1_000_000
+
+# this module, whose attributes the commands call (see the docstring)
+_cli = sys.modules[__name__]
 
 
 def __getattr__(name):
-    # PEP 562: the simulator, and numpy with it, loads when one of its names is read
-    if name in _SIMULATOR_NAMES:
-        from . import simulator
-
-        return getattr(simulator, name)
+    if name in _NAMES:
+        return getattr(sys.modules[__package__], name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def parse_d_list(text: str) -> list[int]:
-    """Parse a degree list like "2..10,15,20" into explicit integers."""
-    ds: list[int] = []
+    """Parse a degree list like "2..10,15,20" into explicit integers.
+
+    Ranges are counted from their endpoints before any is built, so a list
+    of more than _MAX_DEGREES degrees is refused without allocating it.
+    """
+    ranges: list[tuple[int, int]] = []
     for piece in text.split(","):
         piece = piece.strip()
         if not piece:
@@ -49,14 +55,16 @@ def parse_d_list(text: str) -> list[int]:
                 lo, hi = int(a), int(b)
                 if hi < lo:
                     raise ValueError
-                ds.extend(range(lo, hi + 1))
             else:
-                ds.append(int(piece))
+                lo = hi = int(piece)
         except ValueError:
             raise ParameterError(f"cannot parse degree entry {piece!r}") from None
-    if not ds:
+        ranges.append((lo, hi))
+    if not ranges:
         raise ParameterError("the degree list is empty")
-    return ds
+    if sum(hi - lo + 1 for lo, hi in ranges) > _MAX_DEGREES:
+        raise ParameterError(f"the degree list has more than {_MAX_DEGREES} entries")
+    return [d for lo, hi in ranges for d in range(lo, hi + 1)]
 
 
 def _fmt_plain(value) -> str:
@@ -111,7 +119,7 @@ def _emit(schema: str, header: list[str], rows: list[list], fmt: str,
 
 
 def _cmd_qc(args, out) -> int:
-    res = solve_qc(args.d, args.c, args.tol)
+    res = _cli.solve_qc(args.d, args.c, args.tol)
     header = ["d", "c", "q_c", "residual", "lower_c2", "upper_c2", "lower_c3", "upper_c3"]
     row = [res.d, res.c, res.q_c, res.residual,
            res.lower_c2, res.upper_c2, res.lower_c3, res.upper_c3]
@@ -127,15 +135,14 @@ def _cmd_qc(args, out) -> int:
 
 
 def _cmd_table(args, out) -> int:
-    model = Model(args.model)
-    columns, rows = bound_table(model, parse_d_list(args.d))
+    model = _cli.Model(args.model)
+    columns, rows = _cli.bound_table(model, parse_d_list(args.d))
     _emit(f"{model.value}.v1", columns, rows, args.format, out)
     return 0
 
 
 def _cmd_gamma(args, out) -> int:
-    spec = HazardSpec(args.c, args.q)
-    res = convergence_rate(spec)
+    res = _cli.convergence_rate(_cli.HazardSpec(args.c, args.q))
     header = ["c", "q", "gamma", "residual", "bracket_lo", "bracket_hi", "terms"]
     row = [args.c, args.q, res.gamma, res.residual,
            res.bracket[0], res.bracket[1], res.truncation_K]
@@ -150,12 +157,10 @@ def _cmd_gamma(args, out) -> int:
 
 
 def _cmd_simulate(args, out) -> int:
-    # through the module: a name bench/tracing.py replaced with setattr is the one that runs
-    cli = sys.modules[__name__]
     if args.engine == "firework":
-        spec = HazardSpec(args.c, args.q)
-        outcome = cli.simulate_firework(spec, args.n, args.replicates, args.seed)
-        exact = renewal_probabilities(spec, args.n).values
+        spec = _cli.HazardSpec(args.c, args.q)
+        outcome = _cli.simulate_firework(spec, args.n, args.replicates, args.seed)
+        exact = _cli.renewal_probabilities(spec, args.n).values
         header = ["site", "hits", "p_hat", "u_exact", "z"]
         rows = []
         for site in range(args.n + 1):
@@ -166,13 +171,15 @@ def _cmd_simulate(args, out) -> int:
             rows.append([site, int(outcome.branch_hits[site]), p_hat, u, z])
         _emit("firework.v1", header, rows, args.format, out)
         return 0
-    params = TreeParams(args.d, args.c, args.q)
-    config = cli.FrogSimConfig(
+    params = _cli.TreeParams(args.d, args.c, args.q)
+    # without --cap, FrogSimConfig's own default applies
+    cap = {} if args.cap is None else {"activation_cap": args.cap}
+    config = _cli.FrogSimConfig(
         params=params, max_depth=args.max_depth,
-        replicates=args.replicates, seed=args.seed, activation_cap=args.cap,
+        replicates=args.replicates, seed=args.seed, **cap,
     )
-    verdict = growth_classifier(args.d, params.hazard_spec, 200)
-    outcome = cli.simulate_frog(config)
+    verdict = _cli.growth_classifier(args.d, params.hazard_spec, 200)
+    outcome = _cli.simulate_frog(config)
     fractions = outcome.reach_fractions()
     header = ["depth", "count", "reach_fraction"]
     rows = [
@@ -201,7 +208,7 @@ def _build_parser() -> argparse.ArgumentParser:
     qc.set_defaults(func=_cmd_qc)
 
     table = sub.add_parser("table", help="bound tables for the coupled models")
-    table.add_argument("--model", choices=sorted(m.value for m in Model), required=True)
+    table.add_argument("--model", choices=sorted(m.value for m in _cli.Model), required=True)
     table.add_argument("--d", type=str, required=True,
                        help="degree list, e.g. 2..10,15,20,30,50,100")
     table.add_argument("--format", choices=_FORMATS, default="plain")
@@ -223,8 +230,7 @@ def _build_parser() -> argparse.ArgumentParser:
     frog.add_argument("--max-depth", type=int, required=True)
     frog.add_argument("--replicates", type=int, default=100_000)
     frog.add_argument("--seed", type=int, required=True)
-    frog.add_argument("--cap", type=int, default=_DEFAULT_CAP,
-                      help="activated-vertex cap per replicate")
+    frog.add_argument("--cap", type=int, help="activated-vertex cap per replicate")
     frog.add_argument("--format", choices=_FORMATS, default="plain")
     frog.set_defaults(func=_cmd_simulate)
 

@@ -17,20 +17,13 @@ and the single-activation removal variant (c = 1, q = p/(d+1)).
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, fields
-from enum import Enum
 
 from .distributions import HazardSpec, check_degree, check_tol
 from .errors import BracketError, ParameterError
+from .models import Model
 from .renewal import _bisect, _check_series_terms, _generating_function, _series_exceeds_one
 
 _SCAN_POINTS = 64
-
-
-class Model(Enum):
-    CONE_PERCOLATION = "cone"
-    ORIGINAL_FROG = "original"
-    SELF_AVOIDING_FROG = "selfavoiding"
-    REMOVAL = "removal"
 
 
 @dataclass(frozen=True)

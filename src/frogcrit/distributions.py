@@ -28,7 +28,6 @@ if TYPE_CHECKING:
     import numpy as np
 
 _MAX_SERIES_TERMS = 20_000_000  # cap on the terms of any series or product
-_DEFAULT_CAP = 10_000_000  # default cap on activated vertices per tree replicate
 
 
 @dataclass(frozen=True)

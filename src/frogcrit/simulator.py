@@ -23,12 +23,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import _DEFAULT_CAP, HazardSpec, TreeParams
+from .distributions import HazardSpec, TreeParams
 from .errors import ActivationCapError, ParameterError
 # uniform_matrix and _informed_counts stay only as the tests' matrix reference
 # and as names bench/tracing.py patches, until the tracer reads counters
 from .rng import replicate_key_range, uniform, uniform_matrix, uniforms
 
+_DEFAULT_CAP = 10_000_000  # default cap on activated vertices per tree replicate
 # replicates per pass of the level engine; bounds its memory whatever the run size
 _BLOCK = 4096
 # live walkers per pass of the level engine; a block past it reruns as two halves

@@ -6,6 +6,7 @@ import json
 import re
 import sys
 import time
+import tracemalloc
 from dataclasses import fields
 from pathlib import Path
 
@@ -53,6 +54,19 @@ class TestParseDList:
 
     def test_leaves_the_degree_rule_to_the_tables(self):
         assert parse_d_list("1,2") == [1, 2]
+
+    def test_counts_ranges_before_building_them(self):
+        limit = cli._MAX_DEGREES
+        tracemalloc.start()
+        try:
+            for text in (f"2..{limit + 2}", f"5,2..{limit + 1}", f"2..{10**30}", f"1..{10**400}"):
+                with pytest.raises(ParameterError, match=f"more than {limit} entries"):
+                    parse_d_list(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert len(parse_d_list(f"2..{limit + 1}")) == limit
 
 
 class TestQcCommand:
@@ -237,6 +251,11 @@ class TestTableCommand:
         assert (code, out) == (2, "")
         assert err == f"error: d must be an integer >= 2, got {bad}\n"
 
+    @pytest.mark.parametrize("degrees", [f"2..{10**30}", f"2..{cli._MAX_DEGREES + 2}"])
+    def test_more_degrees_than_the_limit_exit_2(self, degrees, capsys):
+        code, out, err = run_cli(["table", "--model", "cone", "--d", degrees], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: the degree list has more than {cli._MAX_DEGREES} entries\n"
 
 
 class TestGammaCommand:

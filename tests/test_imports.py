@@ -1,8 +1,10 @@
-"""The exact layer runs without numpy, and every public name still resolves.
+"""Each layer loads on first use, and every public name still resolves.
 
-frogcrit/__init__ and frogcrit.cli load the simulator, the only numpy user
-among their names, on first use, so solving, rates, classification, tables
-and the qc, gamma and table commands never import it.
+Every public name of frogcrit loads its submodule when it is first read,
+and frogcrit.cli reads each library name through the package.  So
+importing either loads no solver, renewal layer, simulator or numpy; the
+exact layer and the qc, gamma and table commands never import numpy; and
+gamma and simulate never load the solver.
 """
 
 import os
@@ -83,6 +85,11 @@ SIMULATIONS = (
 )
 
 
+def _golden():
+    blocks = (Path(__file__).parent / "cli_golden.txt").read_text().split("$ ")[1:]
+    return dict(block.split("\n", 1) for block in blocks)
+
+
 def _fresh_python(code, *args):
     env = dict(os.environ, PYTHONPATH=str(Path(frogcrit.__file__).parents[1]))
     proc = subprocess.run(
@@ -97,13 +104,44 @@ def test_the_exact_layer_never_imports_numpy():
 
 
 def test_the_exact_cli_commands_never_import_numpy_and_simulate_does():
-    golden = dict(
-        block.split("\n", 1)
-        for block in (Path(__file__).parent / "cli_golden.txt").read_text().split("$ ")[1:]
-    )
     before, rest = _fresh_python(CLI_CALLS, *SIMULATIONS).split("\n", 1)
     assert before == "[]"
-    assert rest == "".join(golden[command] for command in SIMULATIONS) + "True\n"
+    assert rest == "".join(_golden()[command] for command in SIMULATIONS) + "True\n"
+
+
+# Imports the module named first, runs the command given after it (if any)
+# through cli.main, then prints which of the lazily loaded modules are loaded.
+LOADED = """
+import importlib
+import sys
+
+importlib.import_module(sys.argv[1])
+if len(sys.argv) > 2:
+    from frogcrit import cli
+
+    assert cli.main(sys.argv[2].split()) == 0
+lazy = ("frogcrit.critical", "frogcrit.distributions", "frogcrit.renewal",
+        "frogcrit.simulator", "frogcrit.rng", "dataclasses", "numpy")
+print(sorted(name for name in sys.modules if name.startswith(lazy)))
+"""
+
+
+@pytest.mark.parametrize("module", ["frogcrit", "frogcrit.cli"])
+def test_importing_the_package_or_the_cli_loads_no_layer(module):
+    assert _fresh_python(LOADED, module) == "[]\n"
+
+
+@pytest.mark.parametrize("command", ["gamma --c 0.3 --q 0.6 --format csv", *SIMULATIONS])
+def test_gamma_and_simulate_never_load_the_solver(command):
+    *out, loaded = _fresh_python(LOADED, "frogcrit.cli", command).splitlines(keepends=True)
+    assert "".join(out) == _golden()[command]
+    assert "frogcrit.renewal" in loaded and "frogcrit.critical" not in loaded
+
+
+def test_model_is_one_enum():
+    from frogcrit import critical, models
+
+    assert frogcrit.Model is critical.Model is models.Model
 
 
 @pytest.mark.parametrize("name", PUBLIC_NAMES)

@@ -127,10 +127,16 @@ def test_level_engine_and_scalar_queue_give_one_histogram(d, c, dq, max_depth, r
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(d=st.integers(-2, 10**400))
 def test_any_degree_exits_0_2_or_3_with_at_most_one_error_line(d):
-    """A degree below 2 or past the largest float is a domain error, never a traceback."""
+    """A degree below 2 or past the largest float is a domain error, never a traceback.
+
+    So is a degree range of more entries than the table limit, however far it reaches.
+    """
+    past_the_limit = [f"table --model removal --d 2..{d}"] if d - 1 > cli._MAX_DEGREES else []
     for args in (
         f"qc --d {d} --c 1",
         f"table --model cone --d {d}",
+        f"table --model removal --d {max(2, d - 2)}..{d}",
+        *past_the_limit,
         f"simulate frog --d {d} --c 1 --q 0.1 --max-depth 2 --replicates 10 --seed 1",
     ):
         out, err = io.StringIO(), io.StringIO()
