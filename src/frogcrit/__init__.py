@@ -20,7 +20,7 @@ _EXPORTS = {
         table_cone table_frogs
     """,
     "distributions": """
-        HazardSpec TreeParams defect_mass interarrival_pmf interarrival_survival pochhammer
+        HazardSpec TreeParams defect_mass interarrival_pmf interarrival_survival
     """,
     "errors": "ActivationCapError BracketError ParameterError",
     "models": "Model",

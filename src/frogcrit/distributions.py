@@ -9,7 +9,8 @@ rate P(T = k | T >= k) = c*q^k, with 0 < c <= 1 and 0 < q < 1.  This gives
 
 The distribution is defective (positive mass at infinity), which is what
 makes the associated renewal probabilities decay geometrically.  One
-loop, _tilted_gaps, forms every gap alpha^k f_k the package sums.  Every
+loop, _tilted_gaps, forms every product of this law: each gap alpha^k f_k
+the package sums and each survival product, the defect included.  Every
 truncation carries a tail bound from the majorant f_k <= c q^k.
 """
 
@@ -45,8 +46,7 @@ class HazardSpec:
 
     def hazard(self, k: int) -> float:
         """Hazard rate c * q^k at gap length k >= 1."""
-        if k < 1:
-            raise ParameterError(f"k must be >= 1, got {k}")
+        _check_index("k", k)
         return self.c * self.q**k
 
 
@@ -62,6 +62,14 @@ def check_tol(tol) -> None:
     """Raise ParameterError unless the tolerance tol lies in (0, inf); nan fails too."""
     if not 0.0 < tol < math.inf:
         raise ParameterError(f"tol must be in (0, inf), got {tol}")
+
+
+def _check_index(name: str, n) -> None:
+    """Raise ParameterError unless n is an integer >= 1; numpy integers pass too."""
+    if not hasattr(n, "__index__"):
+        raise ParameterError(f"{name} must be an integer >= 1, got {n!r}")
+    if n < 1:
+        raise ParameterError(f"{name} must be >= 1, got {n}")
 
 
 @dataclass(frozen=True)
@@ -94,42 +102,27 @@ class TreeParams:
         return HazardSpec(self.c, self.q)
 
 
-def pochhammer(a: float, x: float, k: int) -> float:
-    """Finite product prod_{i=0}^{k-1} (1 - a * x^i); 1 for k = 0.
-
-    Requires 0 <= a < 1 and 0 <= x < 1 so every factor lies in (0, 1].
-    Each factor takes x**i from pow, as the gap kernel _tilted_gaps does,
-    so it carries one rounding where a running x^i carries about i; no
-    log1p sum, which is less accurate for x near 1.  interarrival_survival
-    and defect_mass evaluate their products here.
-    """
-    if not 0.0 <= a < 1.0:
-        raise ParameterError(f"a must be in [0, 1), got {a}")
-    if not 0.0 <= x < 1.0:
-        raise ParameterError(f"x must be in [0, 1), got {x}")
-    if k < 0:
-        raise ParameterError(f"k must be >= 0, got {k}")
-    p = 1.0
-    for i in range(k):
-        p *= 1.0 - a * x**i
-    return p
-
-
 def interarrival_pmf(spec: HazardSpec, k: int) -> float:
     """Gap probability f_k = c q^k * prod_{i=1}^{k-1}(1 - c q^i), k >= 1.
 
-    The k-th gap of _tilted_gaps at alpha = 1: pmf_sequence(spec, n)[k] for n >= k.
+    The k-th gap of _tilted_gaps at alpha = 1, read up to its first 0.0 gap:
+    both factors of a gap only shrink at alpha = 1, so every later one is 0.0.
     """
-    if k < 1:
-        raise ParameterError(f"k must be >= 1, got {k}")
-    return next(islice(_tilted_gaps(spec.c, spec.q, 1.0), k - 1, None))[0]
+    _check_index("k", k)
+    for j, (gap, _, _, _) in enumerate(_tilted_gaps(spec.c, spec.q, 1.0), 1):
+        if j == k or gap == 0.0:
+            return gap
 
 
 def interarrival_survival(spec: HazardSpec, n: int) -> float:
-    """P(T >= n) = prod_{i=1}^{n-1}(1 - c q^i); equals 1 at n = 1."""
-    if n < 1:
-        raise ParameterError(f"n must be >= 1, got {n}")
-    return pochhammer(spec.c * spec.q, spec.q, n - 1)
+    """P(T >= n) = prod_{i=1}^{n-1}(1 - c q^i); equals 1 at n = 1.
+
+    S_n of _tilted_gaps, final from k* on, so it takes min(n, k*) steps.
+    """
+    _check_index("n", n)
+    for k, (_, _, surv, frozen) in enumerate(_tilted_gaps(spec.c, spec.q, 1.0), 1):
+        if k == n or frozen:
+            return surv
 
 
 def defect_mass(spec: HazardSpec, tol: float = 1e-12) -> float:
@@ -147,27 +140,27 @@ def defect_mass(spec: HazardSpec, tol: float = 1e-12) -> float:
         c * q ** (K + 1) / ((1.0 - q) * (1.0 - c * q ** (K + 1))) <= tol))
     if K > _MAX_SERIES_TERMS:
         raise ParameterError(f"q={q} is too close to 1 for tol={tol}")
-    return pochhammer(c * q, q, K)
+    return interarrival_survival(spec, K + 1)
 
 
 def _tilted_gaps(c: float, q: float, alpha: float):
-    """Yield (g_k, b_k, frozen) for k = 1, 2, ...: the one loop that forms the gap law.
+    """Yield (g_k, b_k, S_k, frozen) for k = 1, 2, ...: the one loop that forms the gap law.
 
-    g_k = alpha^k f_k = b_k prod_{i<k}(1 - c q^i), with the majorant
-    b_k = c (alpha q)^k a running product and each factor 1 - c q**k from
-    pow.  The solver's series (renewal._generating_function and
-    _series_exceeds_one, which bound their tails by b_k), gap_head,
-    pmf_sequence and interarrival_pmf all read their terms here.  frozen
-    is true from k*, the first k at which the float survival product stops
-    changing: 1 - c q^k rounds to 1 (k* <= 54 whenever q <= 1/2) or the
-    product has underflowed to 0.  From k* on the gaps are b_k times one
-    constant, exactly geometric with ratio alpha q up to the rounding of b_k.
+    g_k = alpha^k f_k = b_k S_k, with the majorant b_k = c (alpha q)^k a
+    running product and the survival S_k = prod_{i<k}(1 - c q^i) = P(T >= k)
+    taking each q**i from pow (one rounding where a running q^i carries ~i).
+    The solver's series (renewal._generating_function and _series_exceeds_one,
+    which bound their tails by b_k) and every gap, pmf and survival function
+    here read their values from it.  frozen is true from k*, the first k at
+    which S stops changing: 1 - c q^k rounds to 1 (k* <= 54 whenever q <= 1/2)
+    or S has underflowed to 0.  From k* on S_k is final and the gaps are b_k
+    S_{k*}, exactly geometric with ratio alpha q up to the rounding of b_k.
     """
     aq = alpha * q
     scale, surv = c * aq, 1.0  # b_k and prod_{i<k}(1 - c q^i)
     for k in count(1):
         factor = 1.0 - c * q**k
-        yield scale * surv, scale, factor == 1.0 or surv == 0.0
+        yield scale * surv, scale, surv, factor == 1.0 or surv == 0.0
         surv *= factor
         scale *= aq
 
@@ -180,7 +173,7 @@ def gap_head(spec: HazardSpec, n: int, alpha: float = 1.0) -> list[float]:
     (see _tilted_gaps); when k* > n, the head holds every gap up to n.
     """
     head = []
-    for gap, _, frozen in islice(_tilted_gaps(spec.c, spec.q, alpha), n):
+    for gap, _, _, frozen in islice(_tilted_gaps(spec.c, spec.q, alpha), n):
         head.append(gap)
         if frozen:
             break
@@ -200,5 +193,5 @@ def pmf_sequence(spec: HazardSpec, n: int, alpha: float = 1.0) -> np.ndarray:
     if n < 0:
         raise ParameterError(f"n must be >= 0, got {n}")
     out = np.zeros(n + 1)
-    out[1:] = [gap for gap, _, _ in islice(_tilted_gaps(spec.c, spec.q, alpha), n)]
+    out[1:] = [gap for gap, _, _, _ in islice(_tilted_gaps(spec.c, spec.q, alpha), n)]
     return out

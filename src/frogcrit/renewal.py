@@ -150,7 +150,7 @@ def _generating_function(c: float, q: float, alpha: float, tol: float) -> tuple[
         raise ParameterError(f"alpha*q must be < 1 (series diverges), got {aq}")
     _check_series_terms(c, aq, alpha, tol)
     total = 0.0
-    for k, (gap, scale, _) in enumerate(_tilted_gaps(c, q, alpha), 1):
+    for k, (gap, scale, _, _) in enumerate(_tilted_gaps(c, q, alpha), 1):
         total += gap
         if scale * aq / (1.0 - aq) <= tol:
             return total, k
@@ -168,7 +168,7 @@ def _series_exceeds_one(c: float, q: float, alpha: float) -> bool:
     """
     aq = alpha * q
     total = 0.0
-    for gap, scale, _ in islice(_tilted_gaps(c, q, alpha), _MAX_SERIES_TERMS):
+    for gap, scale, _, _ in islice(_tilted_gaps(c, q, alpha), _MAX_SERIES_TERMS):
         total += gap
         if total > 1.0:
             return True

@@ -325,6 +325,21 @@ class TestSimulateCommand:
         for row in rows[1:]:
             assert abs(float(row[5])) < 6.0
 
+    @pytest.mark.parametrize("n", [10**30, cli._MAX_SITES + 1])
+    def test_firework_sites_past_the_limit_exit_2(self, n, capsys):
+        """Refused before any library call: a run holds memory for every site."""
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(
+                f"simulate firework --c 1 --q 0.25 --n {n} --replicates 10 --seed 1".split(), capsys
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (2, "")
+        assert err == f"error: n must be at most {cli._MAX_SITES}, got {n}\n"
+        assert peak < 2**20
+
     def test_frog_reports_histogram_and_classification(self, capsys):
         code, out, _ = run_cli(
             ["simulate", "frog", "--d", "2", "--c", "1", "--q", "0.35",

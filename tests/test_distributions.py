@@ -1,6 +1,7 @@
 """Tests for the geometric-hazard gap law."""
 
 import math
+import random
 import sys
 import time
 
@@ -16,10 +17,10 @@ from frogcrit import (
     interarrival_pmf,
     interarrival_survival,
     invert_bounds_c2,
-    pochhammer,
     solve_qc,
     survival_series,
 )
+from frogcrit import distributions
 from frogcrit.distributions import gap_head, pmf_sequence
 
 from reference_tables import DEFECT_C1_Q05, POCHHAMMER_03_09_50
@@ -33,60 +34,87 @@ def random_specs(count, seed=20240613, c_lo=0.05, q_hi=0.95):
     ]
 
 
-class TestPochhammer:
-    def test_empty_product(self):
-        assert pochhammer(0.5, 0.5, 0) == 1.0
+class TestSurvivalProduct:
+    """interarrival_survival is the survival product S_n that _tilted_gaps carries."""
 
-    def test_two_factors_by_hand(self):
-        # (1 - 0.5)(1 - 0.25)
-        assert pochhammer(0.5, 0.5, 2) == pytest.approx(0.375, abs=1e-15)
+    def test_bit_equal_to_the_left_to_right_product(self):
+        random.seed(1)
+        for _ in range(2000):
+            c, q, n = random.uniform(0.01, 1), random.uniform(0.01, 0.99), random.randint(2, 60)
+            want = 1.0
+            for i in range(1, n):
+                want *= 1.0 - c * q**i
+            assert interarrival_survival(HazardSpec(c, q), n) == want, (c, q, n)
 
     def test_against_extended_precision_loop(self):
-        """Frozen value of a 50-factor product evaluated with mpmath."""
-        assert pochhammer(0.3, 0.9, 50) == pytest.approx(POCHHAMMER_03_09_50, abs=1e-12)
-
-    def test_domain_errors(self):
-        with pytest.raises(ParameterError):
-            pochhammer(1.0, 0.5, 3)
-        with pytest.raises(ParameterError):
-            pochhammer(0.5, 1.0, 3)
-        with pytest.raises(ParameterError):
-            pochhammer(-0.1, 0.5, 3)
-        with pytest.raises(ParameterError):
-            pochhammer(0.5, -0.1, 3)
-        with pytest.raises(ParameterError):
-            pochhammer(0.5, 0.5, -1)
+        """Frozen value of the 50-factor product prod_{i<50}(1 - 0.3 * 0.9^i) (mpmath)."""
+        spec = HazardSpec(0.3 / 0.9, 0.9)
+        assert interarrival_survival(spec, 51) == pytest.approx(POCHHAMMER_03_09_50, abs=1e-12)
 
     @pytest.mark.parametrize(
-        "a, x, k",
-        [(0.95, 0.95, 400), (0.495, 0.99, 2000), (0.1, 0.999999, 3000), (0.3, 0.999, 2000)],
+        "c, q, n",
+        [(1.0, 0.95, 401), (0.5, 0.99, 2001), (0.1 / 0.999999, 0.999999, 3001), (0.3 / 0.999, 0.999, 2001)],
     )
-    def test_long_product_near_x_one_against_oracle(self, a, x, k):
-        """The k-factor product within 1e-14 of a 60-digit product of the same floats.
+    def test_long_product_near_q_one_against_oracle(self, c, q, n):
+        """The n - 1 factor product within 1e-14 of a 60-digit product of the same floats.
 
-        Each factor takes x**i from pow, one rounding where a running x^i
+        Each factor takes q**i from pow, one rounding where a running q^i
         carries about i; that running form reads 3e-13 and 5e-13 in the
         last two cases.
         """
         mpmath = pytest.importorskip("mpmath")
         with mpmath.workdps(60):
             want = mpmath.mpf(1)
-            t = mpmath.mpf(a)
-            for _ in range(k):
+            t = mpmath.mpf(c) * mpmath.mpf(q)
+            for _ in range(n - 1):
                 want *= 1 - t
-                t *= x
-            got = mpmath.mpf(pochhammer(a, x, k))
+                t *= q
+            got = mpmath.mpf(interarrival_survival(HazardSpec(c, q), n))
             assert abs(got - want) <= 1e-14 * want
 
-    def test_nonincreasing_in_k_and_a(self):
-        xs = [0.1, 0.5, 0.9, 0.97]
-        for x in xs:
-            for a in (0.05, 0.3, 0.8):
-                vals = [pochhammer(a, x, k) for k in range(12)]
+    def test_nonincreasing_in_n_and_c(self):
+        for q in (0.1, 0.5, 0.9, 0.97):
+            for c in (0.05, 0.3, 0.8):
+                vals = [interarrival_survival(HazardSpec(c, q), n) for n in range(1, 13)]
                 assert all(v2 <= v1 for v1, v2 in zip(vals, vals[1:]))
-            for k in (1, 5, 20):
-                vals = [pochhammer(a, x, k) for a in np.linspace(0.0, 0.95, 12)]
+            for n in (2, 6, 21):
+                vals = [interarrival_survival(HazardSpec(float(c), q), n)
+                        for c in np.linspace(0.05, 1.0, 12)]
                 assert all(v2 <= v1 for v1, v2 in zip(vals, vals[1:]))
+
+    def test_reads_the_kernel_only_until_its_values_stop_changing(self, monkeypatch):
+        """Survival stops at the first frozen k, the pmf at its first 0.0 gap (k = 1074 here)."""
+        kernel, reads = distributions._tilted_gaps, []
+
+        def counting(*args):
+            reads.append(0)
+            for item in kernel(*args):
+                reads[-1] += 1
+                assert reads[-1] <= 10**5, "read more than 10^5 kernel items"
+                yield item
+
+        monkeypatch.setattr(distributions, "_tilted_gaps", counting)
+        spec = HazardSpec(0.5, 0.5)
+        at_100 = interarrival_survival(spec, 100)
+        assert interarrival_survival(spec, 10**7) == at_100
+        assert 1 <= reads[-1] <= 60
+        assert interarrival_pmf(spec, 10**7) == 0.0
+        assert reads[-1] <= 1100
+        assert interarrival_survival(spec, 10**30) == at_100
+        assert interarrival_pmf(spec, 10**30) == 0.0
+
+    def test_integer_arguments(self):
+        spec = HazardSpec(0.5, 0.5)
+        assert interarrival_survival(spec, np.int64(5)) == interarrival_survival(spec, 5)
+        assert interarrival_pmf(spec, np.int64(5)) == interarrival_pmf(spec, 5)
+        with pytest.raises(ParameterError, match="^n must be an integer >= 1, got 2.5$"):
+            interarrival_survival(spec, 2.5)
+        with pytest.raises(ParameterError, match="^k must be an integer >= 1, got 2.5$"):
+            interarrival_pmf(spec, 2.5)
+        with pytest.raises(ParameterError, match="^n must be >= 1, got 0$"):
+            interarrival_survival(spec, 0)
+        with pytest.raises(ParameterError, match="^k must be an integer >= 1, got 2.5$"):
+            spec.hazard(2.5)
 
 
 class TestInterarrival:
@@ -198,7 +226,8 @@ class TestDefectMass:
         K = 1
         while c * q ** (K + 1) / ((1.0 - q) * (1.0 - c * q ** (K + 1))) > tol:
             K += 1
-        assert defect_mass(HazardSpec(c, q), tol) == pochhammer(c * q, q, K)
+        spec = HazardSpec(c, q)
+        assert defect_mass(spec, tol) == interarrival_survival(spec, K + 1)
 
     @pytest.mark.parametrize("q", [1 - 1e-7, 1 - 1e-9, 1 - 2**-53])
     def test_an_index_past_the_term_cap_fails_fast(self, q):
@@ -297,13 +326,3 @@ def test_gap_head_near_q_one_against_a_60_digit_oracle(c, q, bound):
                 assert abs(mpmath.mpf(gap) - want) <= bound * want, k
             surv *= 1 - C * qk
             qk *= Q
-
-
-def test_math_module_consistency():
-    # pochhammer and survival describe the same product, shifted
-    for spec in random_specs(5):
-        for n in range(1, 30):
-            assert interarrival_survival(spec, n) == pytest.approx(
-                pochhammer(spec.c * spec.q, spec.q, n - 1), rel=1e-14
-            )
-    assert math.isclose(pochhammer(0.0, 0.0, 5), 1.0)

@@ -17,7 +17,7 @@ import pytest
 import frogcrit
 from frogcrit import cli
 
-# Every name the package exported when the simulator was imported eagerly.
+# Every public name of the package.
 PUBLIC_NAMES = """
     ConeTableRow CriticalResult FrogTableRow Model ModelBounds bound_table
     bounds_on_d cone_percolation_bounds explicit_bounds_c3 invert_bounds_c2
@@ -25,7 +25,7 @@ PUBLIC_NAMES = """
     literature_self_avoiding_upper original_frog_upper p_of_r r_of_p
     removal_bounds self_avoiding_upper solve_qc survival_series table_cone
     table_frogs HazardSpec TreeParams defect_mass interarrival_pmf
-    interarrival_survival pochhammer ActivationCapError BracketError
+    interarrival_survival ActivationCapError BracketError
     ParameterError Growth RateResult RenewalProbs convergence_rate
     generating_function growth_classifier growth_sequence renewal_probabilities
     FrogSimConfig SimOutcome simulate_firework simulate_frog
