@@ -11,18 +11,25 @@ Output formats:
 
 Every library name a command calls is read through this module, and the
 module `__getattr__` (PEP 562) hands it to the package table, which loads
-its submodule on first use.  So importing the CLI loads only argparse and
-`errors`: `qc` and `table` load the solver, `gamma` and `simulate` the
-renewal layer, and only `simulate` the simulator and numpy.  `json` loads
-only for `--format jsonl`.  Reading through the module also means that a
-name replaced with setattr (as bench/tracing.py does) is the one that runs.
+its submodule on first use.  So importing the CLI loads only `errors` and
+builtin modules: building the parser loads argparse, `qc` and `table` the
+solver, `gamma` and `simulate` the renewal layer, and only `simulate` the
+simulator and numpy; no command loads dataclasses.  `json` loads only for
+`--format jsonl`.  Reading through the module also means that a name
+replaced with setattr (as bench/tracing.py does) is the one that runs.
 """
 
-import argparse
+import atexit
+import gc
 import sys
 
 from . import _NAMES
 from .errors import ActivationCapError, BracketError, ParameterError
+
+# At exit CPython runs the atexit handlers, flushes stdout and stderr, then clears the modules
+# with full collections; gc.freeze() moves every live object into the permanent generation,
+# which they skip.  So cyclic garbage alive at exit is not finalized: the CLI holds none.
+atexit.register(gc.freeze)
 
 _FORMATS = ("plain", "csv", "jsonl")
 # a table call of this many degrees takes about 100 s (cone rows)
@@ -195,7 +202,9 @@ def _cmd_simulate(args, out) -> int:
     return 0
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser():
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="frogcrit",
         description="Critical parameters of geometric-lifetime growth "

@@ -16,9 +16,9 @@ and the single-activation removal variant (c = 1, q = p/(d+1)).
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, fields
+from collections import namedtuple
 
-from .distributions import HazardSpec, check_degree, check_tol
+from .distributions import HazardSpec, check_degree, check_tol, checked_record
 from .errors import BracketError, ParameterError
 from .models import Model
 from .renewal import _bisect, _check_series_terms, _generating_function, _series_exceeds_one
@@ -26,49 +26,40 @@ from .renewal import _bisect, _check_series_terms, _generating_function, _series
 _SCAN_POINTS = 64
 
 
-@dataclass(frozen=True)
-class CriticalResult:
-    """Solved q_c together with the four closed-form bounds."""
+class CriticalResult(checked_record(
+        "CriticalResult", "d c q_c residual lower_c2 upper_c2 lower_c3 upper_c3")):
+    """Solved q_c together with the four closed-form bounds; upper_c3 is None at d = 2."""
 
-    d: int
-    c: float
-    q_c: float
-    residual: float
-    lower_c2: float
-    upper_c2: float
-    lower_c3: float
-    upper_c3: float | None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not 0.0 < self.q_c < 1.0 / self.d:
-            raise ParameterError(f"q_c must lie in (0, 1/d), got {self.q_c}")
+    def __new__(cls, d, c, q_c, residual, lower_c2, upper_c2, lower_c3, upper_c3):
+        if not 0.0 < q_c < 1.0 / d:
+            raise ParameterError(f"q_c must lie in (0, 1/d), got {q_c}")
         # Only the lower chain is enforced: it rests on the product
         # majorant prod(1 - c q^i) <= 1 - c q, valid for every c.  The
         # upper estimates rest on the minorant 1 - c q - c q^2, which
         # genuinely fails for c < 1 (e.g. c=1/4, q=1/10, four factors),
         # so for small enough c the root exceeds upper_c2 at every d.
-        if not self.lower_c3 <= self.lower_c2 <= self.q_c:
+        if not lower_c3 <= lower_c2 <= q_c:
             raise ParameterError(
-                f"lower-bound ordering violated in CriticalResult: lower_c3 = {self.lower_c3!r}, "
-                f"lower_c2 = {self.lower_c2!r}, q_c = {self.q_c!r}; the bisections' absolute "
+                f"lower-bound ordering violated in CriticalResult: lower_c3 = {lower_c3!r}, "
+                f"lower_c2 = {lower_c2!r}, q_c = {q_c!r}; the bisections' absolute "
                 "tolerance is coarser than the gaps between them"
             )
+        return super().__new__(cls, d, c, q_c, residual, lower_c2, upper_c2, lower_c3, upper_c3)
 
 
-@dataclass(frozen=True)
-class ModelBounds:
-    """Critical-parameter bounds for one of the coupled models."""
+class ModelBounds(checked_record("ModelBounds", "model d lower upper")):
+    """Critical-parameter bounds for one of the coupled models (a Model); lower may be None."""
 
-    model: Model
-    d: int
-    lower: float | None
-    upper: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.lower is not None and not 0.0 < self.lower <= self.upper:
+    def __new__(cls, model: Model, d: int, lower: float | None, upper: float):
+        if lower is not None and not 0.0 < lower <= upper:
             raise ParameterError("ModelBounds requires 0 < lower <= upper")
-        if not self.upper < 1.0:
-            raise ParameterError(f"upper bound must be < 1, got {self.upper}")
+        if not upper < 1.0:
+            raise ParameterError(f"upper bound must be < 1, got {upper}")
+        return super().__new__(cls, model, d, lower, upper)
 
 
 def _validate_dc(d: int, c: float) -> None:
@@ -125,18 +116,9 @@ def solve_qc(d: int, c: float, tol: float = 1e-12) -> CriticalResult:
     lo, hi = _bisect(above, lo, hi, converged)
     q_c = 0.5 * (lo + hi)
     residual = abs(survival_series(d, c, q_c, series_tol) - 1.0)
-    q_lower, q_upper = invert_bounds_c2(d, c, tol)
+    lower_c2, upper_c2 = invert_bounds_c2(d, c, tol)
     lower_c3, upper_c3 = explicit_bounds_c3(d, c)
-    return CriticalResult(
-        d=d,
-        c=c,
-        q_c=q_c,
-        residual=residual,
-        lower_c2=q_lower,
-        upper_c2=q_upper,
-        lower_c3=lower_c3,
-        upper_c3=upper_c3,
-    )
+    return CriticalResult(d, c, q_c, residual, lower_c2, upper_c2, lower_c3, upper_c3)
 
 
 def _rationalized_d(c: float, q: float, y: float) -> float:
@@ -316,30 +298,18 @@ def literature_self_avoiding_upper(d: int) -> float:
     return (2.0 * d + 1.0 - math.sqrt(4.0 * d * d - 3.0)) / 2.0
 
 
-@dataclass(frozen=True)
-class ConeTableRow:
+class ConeTableRow(namedtuple("ConeTableRow", "d lower_c2 lower_explicit lower_known "
+                              "upper_c2 upper_explicit upper_known")):
     """One row of the cone-percolation bound table (c = 1)."""
 
-    d: int
-    lower_c2: float
-    lower_explicit: float
-    lower_known: float
-    upper_c2: float
-    upper_explicit: float
-    upper_known: float
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class FrogTableRow:
+class FrogTableRow(namedtuple("FrogTableRow", "d original_c2 original_explicit original_known "
+                              "self_avoiding_c2 self_avoiding_explicit self_avoiding_known")):
     """One row of the upper-bound table for the two walk models."""
 
-    d: int
-    original_c2: float
-    original_explicit: float
-    original_known: float
-    self_avoiding_c2: float
-    self_avoiding_explicit: float
-    self_avoiding_known: float
+    __slots__ = ()
 
 
 def _cone_row(d: int) -> tuple:
@@ -368,7 +338,7 @@ _WALK_COLUMNS = ("d", "upper_c2", "upper_explicit", "upper_known")
 
 # each model's table: its column names and the row of values for one degree
 _TABLES = {
-    Model.CONE_PERCOLATION: (tuple(f.name for f in fields(ConeTableRow)), _cone_row),
+    Model.CONE_PERCOLATION: (ConeTableRow._fields, _cone_row),
     Model.ORIGINAL_FROG: (_WALK_COLUMNS, _original_row),
     Model.SELF_AVOIDING_FROG: (_WALK_COLUMNS, _self_avoiding_row),
     Model.REMOVAL: (("d", "lower", "upper"), _removal_row),

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 import sys
 from bisect import bisect_left
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import count, islice
 from typing import TYPE_CHECKING
 
@@ -29,20 +29,28 @@ if TYPE_CHECKING:
     import numpy as np
 
 _MAX_SERIES_TERMS = 20_000_000  # cap on the terms of any series or product
+_UNDERFLOW = 708.0  # a float product is 0.0 only once its exact value is below e^-708
 
 
-@dataclass(frozen=True)
-class HazardSpec:
-    """Parameters (c, q) of the hazard h_k = c * q^k."""
+def checked_record(name: str, fields: str, defaults=()):
+    """A namedtuple base for a record that checks its fields in __new__: its _make, and so
+    _replace, calls the subclass (namedtuple's own _make calls tuple.__new__ and skips them)."""
+    base = namedtuple(name, fields, defaults=defaults)
+    base._make = classmethod(lambda cls, iterable: cls(*iterable))
+    return base
 
-    c: float
-    q: float
 
-    def __post_init__(self):
-        if not 0.0 < self.c <= 1.0:
-            raise ParameterError(f"c must be in (0, 1], got {self.c}")
-        if not 0.0 < self.q < 1.0:
-            raise ParameterError(f"q must be in (0, 1), got {self.q}")
+class HazardSpec(checked_record("HazardSpec", "c q")):
+    """Parameters (c, q) of the hazard h_k = c * q^k; an immutable named tuple."""
+
+    __slots__ = ()
+
+    def __new__(cls, c: float, q: float):
+        if not 0.0 < c <= 1.0:
+            raise ParameterError(f"c must be in (0, 1], got {c}")
+        if not 0.0 < q < 1.0:
+            raise ParameterError(f"q must be in (0, 1), got {q}")
+        return super().__new__(cls, c, q)
 
     def hazard(self, k: int) -> float:
         """Hazard rate c * q^k at gap length k >= 1."""
@@ -72,29 +80,23 @@ def _check_index(name: str, n) -> None:
         raise ParameterError(f"{name} must be >= 1, got {n}")
 
 
-@dataclass(frozen=True)
-class TreeParams:
-    """Parameters (d, c, q) of the process on the directed d-ary tree.
+class TreeParams(checked_record("TreeParams", "d c q")):
+    """Parameters (d, c, q) of the process on the directed d-ary tree; an immutable named tuple.
 
     The walker lifetime satisfies P(T >= n) = c * (d q)^n, so validity
     requires d*q <= 1 and c*d*q < 1.
     """
 
-    d: int
-    c: float
-    q: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        check_degree(self.d)
-        HazardSpec(self.c, self.q)  # the checks on c and q
-        if self.d * self.q > 1.0:
-            raise ParameterError(
-                f"d*q must be <= 1 so that c*(d*q)^n stays below 1, got {self.d * self.q}"
-            )
-        if self.c * self.d * self.q >= 1.0:
-            raise ParameterError(
-                f"c*d*q must be < 1, got {self.c * self.d * self.q}"
-            )
+    def __new__(cls, d: int, c: float, q: float):
+        check_degree(d)
+        HazardSpec(c, q)  # the checks on c and q
+        if d * q > 1.0:
+            raise ParameterError(f"d*q must be <= 1 so that c*(d*q)^n stays below 1, got {d * q}")
+        if c * d * q >= 1.0:
+            raise ParameterError(f"c*d*q must be < 1, got {c * d * q}")
+        return super().__new__(cls, d, c, q)
 
     @property
     def hazard_spec(self) -> HazardSpec:
@@ -107,9 +109,10 @@ def interarrival_pmf(spec: HazardSpec, k: int) -> float:
 
     The k-th gap of _tilted_gaps at alpha = 1, read up to its first 0.0 gap:
     both factors of a gap only shrink at alpha = 1, so every later one is 0.0.
+    _walk caps the steps.
     """
     _check_index("k", k)
-    for j, (gap, _, _, _) in enumerate(_tilted_gaps(spec.c, spec.q, 1.0), 1):
+    for j, (gap, _, _, _) in _walk(spec, k, True):
         if j == k or gap == 0.0:
             return gap
 
@@ -117,12 +120,37 @@ def interarrival_pmf(spec: HazardSpec, k: int) -> float:
 def interarrival_survival(spec: HazardSpec, n: int) -> float:
     """P(T >= n) = prod_{i=1}^{n-1}(1 - c q^i); equals 1 at n = 1.
 
-    S_n of _tilted_gaps, final from k* on, so it takes min(n, k*) steps.
+    S_n of _tilted_gaps, final from k* on, so it takes min(n, k*) steps; _walk caps them.
     """
     _check_index("n", n)
-    for k, (_, _, surv, frozen) in enumerate(_tilted_gaps(spec.c, spec.q, 1.0), 1):
+    for k, (_, _, surv, frozen) in _walk(spec, n, False):
         if k == n or frozen:
             return surv
+
+
+def _walk(spec: HazardSpec, n: int, gaps: bool):
+    """(k, item) of _tilted_gaps at alpha = 1 from k = 1; ParameterError past _MAX_SERIES_TERMS.
+
+    A walk to n ends at n, or at its first frozen k (survival) or 0.0 gap (gaps).  It raises
+    at once where a lower bound on that end passes the cap, from logs: 1 - c q^k rounds to 1
+    only once c q^k < 2^-53, a product is 0.0 only below e^-_UNDERFLOW, and -log S_k <=
+    c q (1 - q^(k-1)) / ((1 - q)(1 - c q)).  Products stalled in the subnormal floats can
+    outrun that bound, so it also raises after _MAX_SERIES_TERMS items.
+    """
+    c, q = spec.c, spec.q
+    rate = -math.log(q)
+    most = c * q / ((1.0 - q) * (1.0 - c * q))  # bounds -log S_k for every k
+    if gaps:  # the gap c q^k S_k falls below e^-_UNDERFLOW
+        end = (_UNDERFLOW + math.log(c) - most) / rate
+    else:  # c q^k falls below 2^-53, or S_k below e^-_UNDERFLOW
+        end = math.log(2.0**53 * c) / rate
+        if most > _UNDERFLOW:
+            end = min(end, 1.0 - math.log1p(-_UNDERFLOW / most) / rate)
+    if min(n, end) <= _MAX_SERIES_TERMS:
+        yield from enumerate(islice(_tilted_gaps(c, q, 1.0), _MAX_SERIES_TERMS), 1)
+    raise ParameterError(
+        f"q={q} is too close to 1 for c={c}: the product needs more than {_MAX_SERIES_TERMS} terms"
+    )
 
 
 def defect_mass(spec: HazardSpec, tol: float = 1e-12) -> float:

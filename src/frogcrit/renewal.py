@@ -22,8 +22,7 @@ from __future__ import annotations
 
 import math
 import sys
-from collections import deque
-from dataclasses import dataclass
+from collections import deque, namedtuple
 from enum import Enum
 from itertools import islice
 from operator import mul
@@ -31,7 +30,8 @@ from typing import TYPE_CHECKING
 
 # pmf_sequence is not called here; bench/tracing.py wraps it by this module's name
 from .distributions import (  # noqa: F401
-    _MAX_SERIES_TERMS, HazardSpec, _tilted_gaps, check_degree, check_tol, gap_head, pmf_sequence,
+    _MAX_SERIES_TERMS, HazardSpec, _tilted_gaps, check_degree, check_tol, checked_record, gap_head,
+    pmf_sequence,
 )
 from .errors import BracketError, ParameterError
 
@@ -52,33 +52,27 @@ class Growth(Enum):
     INDETERMINATE = "indeterminate"
 
 
-@dataclass(frozen=True)
-class RenewalProbs:
-    """Exact renewal probabilities u_0..u_N for one hazard law."""
+class RenewalProbs(checked_record("RenewalProbs", "values spec")):
+    """Exact renewal probabilities u_0..u_N, a read-only float64 array, for one hazard law."""
 
-    values: np.ndarray
-    spec: HazardSpec
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, values: np.ndarray, spec: HazardSpec):
         import numpy as np
 
-        vals = np.asarray(self.values, dtype=np.float64)
+        vals = np.asarray(values, dtype=np.float64)
         vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
+        return super().__new__(cls, vals, spec)
 
     @property
     def horizon(self) -> int:
         return len(self.values) - 1
 
 
-@dataclass(frozen=True)
-class RateResult:
-    """Solved decay rate gamma with solver diagnostics."""
+class RateResult(namedtuple("RateResult", "gamma residual bracket truncation_K")):
+    """Solved decay rate gamma with solver diagnostics; bracket is the final (lo, hi)."""
 
-    gamma: float
-    residual: float
-    bracket: tuple[float, float]
-    truncation_K: int
+    __slots__ = ()
 
 
 def renewal_probabilities(spec: HazardSpec, N: int) -> RenewalProbs:

@@ -19,11 +19,9 @@ Draw indices: the firework radius uses 0; tree walkers use 0 for their
 reach and j >= 1 for the j-th path choice.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .distributions import HazardSpec, TreeParams
+from .distributions import HazardSpec, TreeParams, checked_record
 from .errors import ActivationCapError, ParameterError
 # uniform_matrix and _informed_counts stay only as the tests' matrix reference
 # and as names bench/tracing.py patches, until the tracer reads counters
@@ -64,57 +62,50 @@ def _check_run(replicates: int, seed: int, n: int = 1) -> None:
         raise ParameterError(f"seed must be a 64-bit unsigned integer, got {seed}")
 
 
-@dataclass(frozen=True)
-class FrogSimConfig:
-    """Replicated tree-growth experiment: parameters, horizon, seed."""
+class FrogSimConfig(checked_record(
+        "FrogSimConfig", "params max_depth replicates seed activation_cap", (_DEFAULT_CAP,))):
+    """Replicated tree-growth experiment: parameters (a TreeParams), horizon, seed."""
 
-    params: TreeParams
-    max_depth: int
-    replicates: int
-    seed: int
-    activation_cap: int = _DEFAULT_CAP
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.max_depth < 1:
-            raise ParameterError(f"max_depth must be >= 1, got {self.max_depth}")
-        limit = _first_aliased_depth(self.params.d)
-        if self.max_depth >= limit:
+    def __new__(cls, params: TreeParams, max_depth: int, replicates: int, seed: int,
+                activation_cap: int = _DEFAULT_CAP):
+        if max_depth < 1:
+            raise ParameterError(f"max_depth must be >= 1, got {max_depth}")
+        limit = _first_aliased_depth(params.d)
+        if max_depth >= limit:
             raise ParameterError(
-                f"max_depth must be < {limit} at d={self.params.d}: deeper vertex "
-                f"numbers reach 2^64 and would share random draws, got {self.max_depth}"
+                f"max_depth must be < {limit} at d={params.d}: deeper vertex "
+                f"numbers reach 2^64 and would share random draws, got {max_depth}"
             )
-        _check_run(self.replicates, self.seed)
-        if self.activation_cap < 1:
-            raise ParameterError(f"activation_cap must be >= 1, got {self.activation_cap}")
+        _check_run(replicates, seed)
+        if activation_cap < 1:
+            raise ParameterError(f"activation_cap must be >= 1, got {activation_cap}")
+        return super().__new__(cls, params, max_depth, replicates, seed, activation_cap)
 
 
-@dataclass(frozen=True)
-class SimOutcome:
-    """Aggregated Monte Carlo record.
+class SimOutcome(checked_record("SimOutcome", "reached_depth branch_hits replicates seed")):
+    """Aggregated Monte Carlo record; its arrays are read-only int64.
 
     reached_depth[k] counts replicates whose deepest activated level is
-    exactly k.  branch_hits[k] (line engine only) counts replicates in
-    which site k was informed; it is nonincreasing in k because the
-    informed set is always a prefix of the line.
+    exactly k.  branch_hits[k] (line engine only, else None) counts
+    replicates in which site k was informed; it is nonincreasing in k
+    because the informed set is always a prefix of the line.
     """
 
-    reached_depth: np.ndarray
-    branch_hits: np.ndarray | None
-    replicates: int
-    seed: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        hist = np.asarray(self.reached_depth, dtype=np.int64)
+    def __new__(cls, reached_depth, branch_hits, replicates: int, seed: int):
+        hist = np.asarray(reached_depth, dtype=np.int64)
         hist.setflags(write=False)
-        object.__setattr__(self, "reached_depth", hist)
-        if int(hist.sum()) != self.replicates:
+        if int(hist.sum()) != replicates:
             raise ParameterError("histogram mass must equal the replicate count")
-        if self.branch_hits is not None:
-            hits = np.asarray(self.branch_hits, dtype=np.int64)
-            hits.setflags(write=False)
-            object.__setattr__(self, "branch_hits", hits)
-            if np.any(hits[1:] > hits[:-1]):
+        if branch_hits is not None:
+            branch_hits = np.asarray(branch_hits, dtype=np.int64)
+            branch_hits.setflags(write=False)
+            if np.any(branch_hits[1:] > branch_hits[:-1]):
                 raise ParameterError("branch_hits must be nonincreasing")
+        return super().__new__(cls, hist, branch_hits, replicates, seed)
 
     def reach_fractions(self) -> np.ndarray:
         """Fraction of replicates whose deepest level is >= k, per k."""

@@ -3,11 +3,12 @@
 import csv
 import io
 import json
+import os
 import re
+import subprocess
 import sys
 import time
 import tracemalloc
-from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -393,7 +394,7 @@ class TestSimulateCommand:
         assert err == "error: activated set exceeded cap of 5 vertices\n"
 
     def test_frog_runs_at_the_config_default_cap_without_the_flag(self, capsys, monkeypatch):
-        default = next(f.default for f in fields(FrogSimConfig) if f.name == "activation_cap")
+        default = FrogSimConfig._field_defaults["activation_cap"]
         simulate_frog, seen = cli.simulate_frog, []
 
         def recording(config):
@@ -446,3 +447,33 @@ class TestSimulateCommand:
         captured = capsys.readouterr()
         assert (exit_info.value.code, captured.out) == (2, "")
         assert "unrecognized arguments: --horizon 5" in captured.err
+
+
+GOLDEN = dict(case.values for case in _golden_cases())
+# the golden commands and failures that run in a real interpreter, from start to exit
+REAL_PROCESS_CASES = [
+    (args, 0, GOLDEN[args], "")
+    for args in (
+        "qc --d 2 --c 1 --format csv",
+        "simulate firework --c 1 --q 0.25 --n 30 --replicates 20000 --seed 7 --format csv",
+        "simulate frog --d 2 --c 1 --q 0.35 --max-depth 12 --replicates 30000 --seed 7 --format csv",
+    )
+] + [
+    ("qc --d 1 --c 1", 2, "", "error: d must be an integer >= 2, got 1\n"),
+    ("simulate frog --d 2 --c 1 --q 0.35 --max-depth 30 --replicates 200 --seed 7 --cap 5",
+     3, "", "error: activated set exceeded cap of 5 vertices\n"),
+]
+
+
+@pytest.mark.parametrize("args,code,out,err", REAL_PROCESS_CASES,
+                         ids=[case[0] for case in REAL_PROCESS_CASES])
+def test_a_real_process_matches_the_golden_and_main(args, code, out, err, capsys):
+    """Exit code, stdout and stderr of a whole interpreter run, the exit hooks included."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from frogcrit.cli import main; sys.exit(main())",
+         *args.split()],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
+    assert run_cli(args.split(), capsys) == (code, out, err)

@@ -117,6 +117,40 @@ class TestSurvivalProduct:
             spec.hazard(2.5)
 
 
+class TestTermCap:
+    """A survival or pmf walk past _MAX_SERIES_TERMS steps raises ParameterError."""
+
+    @pytest.mark.parametrize("function", [interarrival_survival, interarrival_pmf])
+    def test_a_walk_sure_to_pass_the_cap_raises_at_once(self, function):
+        start = time.perf_counter()
+        with pytest.raises(ParameterError, match="^q=0.999999999 is too close to 1 for c=1e-12"):
+            function(HazardSpec(1e-12, 1 - 1e-9), 10**30)
+        assert time.perf_counter() - start < 1.0
+
+    def test_a_long_walk_within_the_cap_keeps_its_value(self):
+        """About 10^6 steps to k*, the value the uncapped walk returned."""
+        got = interarrival_survival(HazardSpec(1e-12, 1 - 1e-5), 10**30)
+        assert got == float.fromhex("0x1.fffffca50c527p-1")
+
+    @pytest.mark.parametrize("function", [interarrival_survival, interarrival_pmf])
+    def test_a_product_that_underflows_fast_is_not_refused(self, function):
+        """At c = 1 the first factors 1 - q^i are near 0, so S_k is 0.0 long before k*."""
+        assert function(HazardSpec(1.0, 1 - 1e-9), 10**30) == 0.0
+
+    @pytest.mark.parametrize("function, spec, within, value", [
+        # S_k stalls at 1e-323 in the subnormals from k = 1840 until k* = 73,456
+        (interarrival_survival, HazardSpec(0.5, 0.9995), 9000, 1e-323),
+        # the gap stalls at 2.5e-323 from k = 7005 on and never reaches 0.0
+        (interarrival_pmf, HazardSpec(0.01, 0.9), 9000, 2.5e-323),
+    ])
+    def test_a_walk_stalled_in_the_subnormals_raises_at_the_cap(
+            self, function, spec, within, value, monkeypatch):
+        monkeypatch.setattr(distributions, "_MAX_SERIES_TERMS", 10**4)
+        assert function(spec, within) == value
+        with pytest.raises(ParameterError, match="needs more than 10000 terms$"):
+            function(spec, 10**30)
+
+
 class TestInterarrival:
     def test_pmf_first_gap(self):
         # k = 1 carries the empty product: f_1 = c*q

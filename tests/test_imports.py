@@ -1,10 +1,14 @@
-"""Each layer loads on first use, and every public name still resolves.
+"""Each layer loads on first use, every public name still resolves, and the CLI's exit hook.
 
 Every public name of frogcrit loads its submodule when it is first read,
 and frogcrit.cli reads each library name through the package.  So
 importing either loads no solver, renewal layer, simulator or numpy; the
 exact layer and the qc, gamma and table commands never import numpy; and
-gamma and simulate never load the solver.
+gamma and simulate never load the solver.  Importing frogcrit.cli loads
+only frogcrit.errors and builtin modules (argparse loads with the parser),
+and no command loads dataclasses.  Only frogcrit.cli freezes the garbage
+collector at exit, so a live cyclic finalizer still runs at exit in a
+process that uses the library alone.
 """
 
 import os
@@ -136,6 +140,70 @@ def test_gamma_and_simulate_never_load_the_solver(command):
     *out, loaded = _fresh_python(LOADED, "frogcrit.cli", command).splitlines(keepends=True)
     assert "".join(out) == _golden()[command]
     assert "frogcrit.renewal" in loaded and "frogcrit.critical" not in loaded
+
+
+def test_importing_the_cli_loads_only_errors_and_builtin_modules():
+    code = (
+        "import sys\n"
+        "import frogcrit\n"
+        "before = set(sys.modules)\n"
+        "import frogcrit.cli\n"
+        "new = set(sys.modules) - before - set(sys.builtin_module_names)\n"
+        "print(sorted(new), 'argparse' in sys.modules, 'dataclasses' in sys.modules)\n"
+    )
+    assert _fresh_python(code) == "['frogcrit.cli', 'frogcrit.errors'] False False\n"
+
+
+# Runs each command given as an argument through cli.main; stops at the first to load dataclasses.
+NO_DATACLASSES = """
+import contextlib
+import io
+import sys
+
+from frogcrit import cli
+
+for command in sys.argv[1:]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(command.split()) == 0, command
+    assert "dataclasses" not in sys.modules, command
+print("ok")
+"""
+
+
+def test_no_command_loads_dataclasses():
+    commands = ["qc --d 2 --c 1", "gamma --c 0.3 --q 0.6"]
+    commands += [f"table --model {model.value} --d 2..5" for model in frogcrit.Model]
+    assert _fresh_python(NO_DATACLASSES, *commands, *SIMULATIONS) == "ok\n"
+
+
+# A cyclic object with a finalizer, alive until the interpreter exits.
+CYCLE_AT_EXIT = """
+import os
+import sys
+
+import frogcrit
+
+if sys.argv[1] == "library":
+    frogcrit.solve_qc(2, 1.0)
+else:
+    import frogcrit.cli
+
+
+class Cycle:
+    def __init__(self):
+        self.me = self
+
+    def __del__(self, write=os.write):
+        write(1, b"finalized\\n")
+
+
+alive = Cycle()
+"""
+
+
+@pytest.mark.parametrize("user, output", [("library", "finalized\n"), ("cli", "")])
+def test_only_the_cli_skips_the_collections_at_exit(user, output):
+    assert _fresh_python(CYCLE_AT_EXIT, user) == output
 
 
 def test_model_is_one_enum():
