@@ -14,19 +14,13 @@ the package sums and each survival product, the defect included.  Every
 truncation carries a tail bound from the majorant f_k <= c q^k.
 """
 
-from __future__ import annotations
-
 import math
 import sys
 from bisect import bisect_left
 from collections import namedtuple
 from itertools import count, islice
-from typing import TYPE_CHECKING
 
 from .errors import ParameterError
-
-if TYPE_CHECKING:
-    import numpy as np
 
 _MAX_SERIES_TERMS = 20_000_000  # cap on the terms of any series or product
 _UNDERFLOW = 708.0  # a float product is 0.0 only once its exact value is below e^-708
@@ -208,18 +202,14 @@ def gap_head(spec: HazardSpec, n: int, alpha: float = 1.0) -> list[float]:
     return head
 
 
-def pmf_sequence(spec: HazardSpec, n: int, alpha: float = 1.0) -> np.ndarray:
-    """Tilted gaps alpha^k f_k = c (alpha q)^k prod_{i<k}(1 - c q^i), k = 1..n; index 0 is 0.
+def pmf_sequence(spec: HazardSpec, n: int, alpha: float = 1.0) -> tuple[float, ...]:
+    """Tilted gaps alpha^k f_k = c (alpha q)^k prod_{i<k}(1 - c q^i), k = 1..n; index 0 is 0.0.
 
-    Every gap of _tilted_gaps as a numpy array: f_k at alpha = 1, d^k f_k
+    Every gap of _tilted_gaps as a tuple of floats: f_k at alpha = 1, d^k f_k
     at alpha = d.  Past the first overflow of the majorant c (alpha q)^k,
     which folds c in, a gap is inf, or nan where the survival product has
     underflowed to 0.
     """
-    import numpy as np
-
     if n < 0:
         raise ParameterError(f"n must be >= 0, got {n}")
-    out = np.zeros(n + 1)
-    out[1:] = [gap for gap, _, _, _ in islice(_tilted_gaps(spec.c, spec.q, alpha), n)]
-    return out
+    return (0.0, *(gap for gap, _, _, _ in islice(_tilted_gaps(spec.c, spec.q, alpha), n)))

@@ -13,12 +13,9 @@ The recursion runs on plain floats in O(N k*): from the index k* at
 which the float survival product prod(1 - c q^i) stops changing (k* <= 54
 whenever q <= 1/2) the gaps are geometric, so the sum over them is carried
 from one step to the next instead of recomputed.  Its gaps and the terms
-of F(alpha) come from one loop, distributions._tilted_gaps.  Only the
-functions that return arrays, renewal_probabilities and growth_sequence,
-import numpy.
+of F(alpha) come from one loop, distributions._tilted_gaps.  Every result
+is a Python float or a tuple of them; this module does not import numpy.
 """
-
-from __future__ import annotations
 
 import math
 import sys
@@ -26,7 +23,6 @@ from collections import deque, namedtuple
 from enum import Enum
 from itertools import islice
 from operator import mul
-from typing import TYPE_CHECKING
 
 # pmf_sequence is not called here; bench/tracing.py wraps it by this module's name
 from .distributions import (  # noqa: F401
@@ -34,9 +30,6 @@ from .distributions import (  # noqa: F401
     pmf_sequence,
 )
 from .errors import BracketError, ParameterError
-
-if TYPE_CHECKING:
-    import numpy as np
 
 _MAX_BISECT = 200
 # finite-horizon surrogate for "eventually decreasing": the trailing
@@ -53,16 +46,12 @@ class Growth(Enum):
 
 
 class RenewalProbs(checked_record("RenewalProbs", "values spec")):
-    """Exact renewal probabilities u_0..u_N, a read-only float64 array, for one hazard law."""
+    """Exact renewal probabilities u_0..u_N, a tuple of floats, for one hazard law."""
 
     __slots__ = ()
 
-    def __new__(cls, values: np.ndarray, spec: HazardSpec):
-        import numpy as np
-
-        vals = np.asarray(values, dtype=np.float64)
-        vals.setflags(write=False)
-        return super().__new__(cls, vals, spec)
+    def __new__(cls, values, spec: HazardSpec):
+        return super().__new__(cls, tuple(map(float, values)), spec)
 
     @property
     def horizon(self) -> int:
@@ -229,8 +218,8 @@ def convergence_rate(spec: HazardSpec) -> RateResult:
     )
 
 
-def growth_sequence(d: int, spec: HazardSpec, N: int) -> np.ndarray:
-    """Scaled renewal probabilities v_n = d^n u_n for n = 0..N.
+def growth_sequence(d: int, spec: HazardSpec, N: int) -> tuple[float, ...]:
+    """Scaled renewal probabilities v_n = d^n u_n for n = 0..N, a tuple of floats.
 
     Computed by running the convolution recursion directly on the tilted
     gaps d^k f_k, which avoids the underflow of u_n at long horizons; the
@@ -251,9 +240,7 @@ def growth_sequence(d: int, spec: HazardSpec, N: int) -> np.ndarray:
             f"d^n u_n overflows at n = {len(v) - 1} of horizon N = {N}; "
             "growth_classifier decides the regime without overflowing"
         )
-    import numpy as np
-
-    return np.array(v)
+    return tuple(v)
 
 
 def growth_classifier(d: int, spec: HazardSpec, N: int) -> Growth:

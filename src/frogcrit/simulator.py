@@ -262,10 +262,8 @@ def _frog_replicate(base, d, c, dq, max_depth, bases) -> int:
     while head < len(queue):
         vertex, depth = queue[head]
         head += 1
-        budget = max_depth - depth
-        if budget <= 0:
-            continue
-        reach = _reach_from_uniform(uniform(base, vertex, 0), c, dq, budget)
+        # reaching max_depth returns at once, so every queued vertex lies above it
+        reach = _reach_from_uniform(uniform(base, vertex, 0), c, dq, max_depth - depth)
         cur = vertex
         cur_depth = depth
         for j in range(1, reach + 1):

@@ -1,6 +1,7 @@
 """Tests for the critical-parameter solver, bound inversion, and model maps."""
 
 import math
+import re
 import sys
 
 import numpy as np
@@ -347,6 +348,14 @@ class TestVisitProbabilityMap:
     def test_range_error(self):
         with pytest.raises(ParameterError):
             p_of_r(4, 0.5)  # p would be 1.25
+
+    @pytest.mark.parametrize(
+        "function, value, message",
+        [(r_of_p, 1.5, "p must be in (0, 1), got 1.5"), (p_of_r, 0.0, "r must be in (0, 1), got 0.0")],
+    )
+    def test_argument_outside_the_open_unit_interval(self, function, value, message):
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+            function(2, value)
 
 
 class TestModelUpperBounds:

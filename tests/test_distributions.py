@@ -318,6 +318,11 @@ class TestSpecValidation:
                 TreeParams(d, 1.0, 1e-309)
 
 
+def test_pmf_sequence_refuses_a_negative_length():
+    with pytest.raises(ParameterError, match=r"^n must be >= 0, got -1$"):
+        pmf_sequence(HazardSpec(1, 0.3), -1)
+
+
 def test_pmf_sequence_matches_pointwise():
     for spec in random_specs(4, q_hi=0.97):
         seq = pmf_sequence(spec, 60)

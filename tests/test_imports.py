@@ -3,14 +3,18 @@
 Every public name of frogcrit loads its submodule when it is first read,
 and frogcrit.cli reads each library name through the package.  So
 importing either loads no solver, renewal layer, simulator or numpy; the
-exact layer and the qc, gamma and table commands never import numpy; and
-gamma and simulate never load the solver.  Importing frogcrit.cli loads
-only frogcrit.errors and builtin modules (argparse loads with the parser),
-and no command loads dataclasses.  Only frogcrit.cli freezes the garbage
-collector at exit, so a live cyclic finalizer still runs at exit in a
-process that uses the library alone.
+exact layer and the qc, gamma and table commands never import numpy, not
+even for the sequences (renewal_probabilities, growth_sequence and
+pmf_sequence return tuples of floats); only rng.py and simulator.py name
+numpy in an import statement; and gamma and simulate never load the
+solver.  Importing frogcrit.cli loads only frogcrit.errors and builtin
+modules (argparse loads with the parser), and no command loads
+dataclasses.  Only frogcrit.cli freezes the garbage collector at exit, so
+a live cyclic finalizer still runs at exit in a process that uses the
+library alone.
 """
 
+import ast
 import os
 import subprocess
 import sys
@@ -40,13 +44,17 @@ import sys
 
 import frogcrit
 from frogcrit import HazardSpec, Model
-from frogcrit.distributions import gap_head
+from frogcrit.distributions import gap_head, pmf_sequence
 
 qc = frogcrit.solve_qc(2, 1.0).q_c
 frogcrit.convergence_rate(HazardSpec(1.0, qc))
 below = frogcrit.growth_classifier(2, HazardSpec(1.0, 0.95 * qc), 5000)
 above = frogcrit.growth_classifier(2, HazardSpec(1.0, 1.05 * qc), 5000)
 assert (below.value, above.value) == ("subcritical", "supercritical")
+assert frogcrit.renewal_probabilities(HazardSpec(1.0, qc), 500).horizon == 500
+assert frogcrit.growth_sequence(2, HazardSpec(1.0, 0.95 * qc), 500)[-1] < 1.0
+assert frogcrit.growth_sequence(2, HazardSpec(1.0, 1.05 * qc), 500)[-1] > 1.0
+assert len(pmf_sequence(HazardSpec(1.0, 0.25), 100, 2.0)) == 101
 frogcrit.generating_function(HazardSpec(1.0, 0.25), 2.0)
 frogcrit.survival_series(2, 1.0, 0.25)
 frogcrit.defect_mass(HazardSpec(1.0, 0.25))
@@ -105,6 +113,23 @@ def _fresh_python(code, *args):
 
 def test_the_exact_layer_never_imports_numpy():
     assert _fresh_python(EXACT_CALLS) == "[]\n"
+
+
+def _imports_numpy(node) -> bool:
+    if isinstance(node, ast.Import):
+        return any(alias.name.split(".")[0] == "numpy" for alias in node.names)
+    return isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "numpy"
+
+
+def test_only_the_rng_and_the_simulator_import_numpy():
+    """Every import statement counts: at module level, in a function or under TYPE_CHECKING."""
+    package = Path(frogcrit.__file__).parent
+    importers = sorted(
+        path.name
+        for path in package.glob("*.py")
+        if any(map(_imports_numpy, ast.walk(ast.parse(path.read_text(), str(path)))))
+    )
+    assert importers == ["rng.py", "simulator.py"]
 
 
 def test_the_exact_cli_commands_never_import_numpy_and_simulate_does():

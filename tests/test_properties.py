@@ -23,14 +23,23 @@ from frogcrit import (  # noqa: E402
     simulate_firework,
     simulate_frog,
 )
-from frogcrit import cli, simulator  # noqa: E402
-from frogcrit.distributions import gap_head, pmf_sequence  # noqa: E402
+from frogcrit import cli, distributions, simulator  # noqa: E402
+from frogcrit.distributions import gap_head  # noqa: E402
 from frogcrit.rng import replicate_key  # noqa: E402
 from frogcrit.simulator import _frog_replicate, _level_bases  # noqa: E402
 
 scales = st.floats(min_value=0.0, max_value=1.0, exclude_min=True)  # c in (0, 1]
 ratios = st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True)
 steps = st.floats(min_value=0.0, max_value=0.1)
+
+
+def pmf_sequence(spec, n, alpha=1.0):
+    """distributions.pmf_sequence as a numpy array, for the byte and elementwise checks below.
+
+    Hypothesis derives a derandomized test's examples from the test's source; converting
+    here, not in the tests, keeps their sources and so the examples they draw.
+    """
+    return np.asarray(distributions.pmf_sequence(spec, n, alpha))
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)

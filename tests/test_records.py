@@ -1,8 +1,9 @@
 """The result and parameter records are checked, immutable named tuples.
 
 Each record that checks its input runs the same checks, with the same
-messages, whether it is built by its constructor or by _replace; records
-that hold arrays keep them read-only either way.
+messages, whether it is built by its constructor or by _replace; the
+renewal values stay a tuple of floats and the simulation arrays stay
+read-only either way.
 """
 
 import re
@@ -105,7 +106,7 @@ def test_records_compare_and_hash_as_plain_tuples():
 def test_replace_keeps_the_arrays_read_only():
     probs = renewal_probabilities(SPEC, 5)
     for replaced in (probs._replace(spec=HazardSpec(0.5, 0.5)), probs._replace(values=[1, 0.5])):
-        assert replaced.values.dtype == np.float64 and not replaced.values.flags.writeable
+        assert type(replaced.values) is tuple and all(type(u) is float for u in replaced.values)
     assert probs._replace(values=[1, 0.5]).horizon == 1
     outcome = simulate_frog(CONFIG)
     for replaced in (outcome._replace(seed=5),

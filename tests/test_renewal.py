@@ -85,9 +85,10 @@ class TestRenewalProbabilities:
 
     def test_values_are_probabilities_and_frozen(self):
         probs = renewal_probabilities(HazardSpec(0.9, 0.5), 100)
-        assert np.all(probs.values >= 0.0) and np.all(probs.values <= 1.0)
+        assert np.all(np.asarray(probs.values) >= 0.0) and np.all(np.asarray(probs.values) <= 1.0)
         assert probs.horizon == 100
-        with pytest.raises(ValueError):
+        assert type(probs.values) is tuple
+        with pytest.raises(TypeError):
             probs.values[3] = 0.5
 
     def test_negative_horizon(self):
@@ -104,7 +105,7 @@ def _full_recursion(f: np.ndarray, stop_above: float = math.inf) -> np.ndarray:
 
     Stops at the first n >= 1 with u_n > stop_above and returns u_0..u_n.
     """
-    reversed_f = f[::-1].copy()  # f_n, ..., f_1 as one contiguous slice
+    reversed_f = np.asarray(f)[::-1].copy()  # f_n, ..., f_1 as one contiguous slice
     top = len(f) - 1
     u = np.zeros(len(f))
     u[0] = 1.0
@@ -208,7 +209,7 @@ class TestRenewalRecursion:
     def test_an_underflowed_survival_product_ends_the_head(self):
         """At c = 1, q = 0.999 the product underflows at k = 353; every gap past it is 0."""
         spec = HazardSpec(1.0, 0.999)
-        f = pmf_sequence(spec, 1000)
+        f = np.asarray(pmf_sequence(spec, 1000))
         head = gap_head(spec, 1000)
         assert len(head) == 353 and head[-1] == 0.0 < head[-2]
         assert np.all(f[353:] == 0.0)
@@ -301,7 +302,7 @@ class TestTiltedGaps:
         spec = HazardSpec(c, q)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            gaps = pmf_sequence(spec, N, d)
+            gaps = np.asarray(pmf_sequence(spec, N, d))
         assert gaps.tobytes() == _gaps_loop(spec, N, d).tobytes()
 
     def test_classifier_matches_the_full_recursion_and_the_running_form_on_the_sweep_grid(self):
@@ -371,6 +372,10 @@ class TestGeneratingFunction:
             generating_function(spec, 4.0)
         with pytest.raises(ParameterError):
             generating_function(spec, 5.0)
+
+    def test_alpha_below_one_is_refused(self):
+        with pytest.raises(ParameterError, match=r"^alpha must be >= 1, got 0\.5$"):
+            generating_function(HazardSpec(1, 0.3), 0.5)
 
     def test_grows_without_bound_near_radius(self):
         spec = HazardSpec(1.0, 0.25)
@@ -461,6 +466,12 @@ class TestConvergenceRate:
         """1/q overflows, so gamma ~ 1/(2q) has no float; the error must say so."""
         with pytest.raises(ParameterError, match="1/q overflows"):
             convergence_rate(HazardSpec(1.0, q))
+
+    def test_q_next_to_one_leaves_no_bracket(self):
+        """1 + 1e-12 already exceeds 1/q - 1e-12, so no rate lies between the ends."""
+        message = "q = 0.9999999999999 leaves no room for a rate in (1, 1/q)"
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+            convergence_rate(HazardSpec(1.0, 1 - 1e-13))
 
 
 class TestGrowthClassifier:

@@ -626,6 +626,10 @@ class TestSimulateFirework:
             with pytest.raises(ParameterError, match="64-bit unsigned"):
                 simulate_firework(HazardSpec(0.5, 0.4), 5, 100, seed)
 
+    def test_a_line_without_sites_is_refused(self):
+        with pytest.raises(ParameterError, match="^n must be >= 1, got 0$"):
+            simulate_firework(HazardSpec(1, 0.3), 0, 10, 1)
+
     def test_growth_direction_flips_across_the_critical_point(self):
         """d^n p_hat grows above q_c and shrinks below it (d=2, c=1).
 
