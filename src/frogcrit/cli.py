@@ -169,9 +169,14 @@ def _cmd_simulate(args, out) -> int:
     if args.engine == "firework":
         if args.n > _MAX_SITES:
             raise ParameterError(f"n must be at most {_MAX_SITES}, got {args.n}")
+        from .simulator import _check_run
+
         spec = _cli.HazardSpec(args.c, args.q)
-        outcome = _cli.simulate_firework(spec, args.n, args.replicates, args.seed)
+        # the run's checks, then the exact values, so a horizon past the renewal
+        # work cap simulates nothing and every other refusal keeps its message
+        _check_run(args.replicates, args.seed, args.n)
         exact = _cli.renewal_probabilities(spec, args.n).values
+        outcome = _cli.simulate_firework(spec, args.n, args.replicates, args.seed)
         header = ["site", "hits", "p_hat", "u_exact", "z"]
         rows = []
         for site in range(args.n + 1):

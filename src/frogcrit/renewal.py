@@ -37,6 +37,10 @@ _MAX_BISECT = 200
 _RATIO_MARGIN = 1e-6
 _RESIDUAL_TOL = 1e-14  # series tolerance of convergence_rate's residual
 _FLOAT_MAX = sys.float_info.max
+# multiply-adds of renewal_probabilities, N times its head length, past which
+# it refuses a horizon: at ~13 ns each, N = 14142 at (c, q) = (0.5, 0.999)
+# takes 2.5 s, and the CLI's --n limit of 10^6 would take hours
+_MAX_RENEWAL_MADDS = 200_000_000
 
 
 class Growth(Enum):
@@ -65,10 +69,22 @@ class RateResult(namedtuple("RateResult", "gamma residual bracket truncation_K")
 
 
 def renewal_probabilities(spec: HazardSpec, N: int) -> RenewalProbs:
-    """u_0..u_N via the convolution recursion u_n = sum f_k u_{n-k}."""
+    """u_0..u_N via the convolution recursion u_n = sum f_k u_{n-k}.
+
+    The recursion costs N times the gap head's length in multiply-adds;
+    past _MAX_RENEWAL_MADDS it is refused with ParameterError.
+    """
     if N < 0:
         raise ParameterError(f"N must be >= 0, got {N}")
-    values = _renewal_recursion(gap_head(spec, N), spec.q, N)
+    # a head one gap longer than the cap admits is enough to refuse N, so the
+    # walk stops there; a shorter head is the whole gap_head(spec, N)
+    head = gap_head(spec, min(N, _MAX_RENEWAL_MADDS // max(N, 1) + 1))
+    if N * len(head) > _MAX_RENEWAL_MADDS:
+        raise ParameterError(
+            f"N = {N} needs at least {N * len(head)} multiply-adds at this hazard "
+            f"law, more than {_MAX_RENEWAL_MADDS}"
+        )
+    values = _renewal_recursion(head, spec.q, N)
     return RenewalProbs(values=values, spec=spec)
 
 

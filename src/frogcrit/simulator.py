@@ -25,7 +25,7 @@ from .distributions import HazardSpec, TreeParams, checked_record
 from .errors import ActivationCapError, ParameterError
 # uniform_matrix and _informed_counts stay only as the tests' matrix reference
 # and as names bench/tracing.py patches, until the tracer reads counters
-from .rng import replicate_key_range, uniform, uniform_matrix, uniforms
+from .rng import _hash_round, _to_unit, replicate_key_range, uniform, uniform_matrix, uniforms
 
 _DEFAULT_CAP = 10_000_000  # default cap on activated vertices per tree replicate
 # replicates per pass of the level engine; bounds its memory whatever the run size
@@ -200,8 +200,9 @@ def _frog_levels(keys, d, thresholds, max_depth, bases, cap) -> np.ndarray | Non
     next step together.  A vertex at depth L + 1 can only be reached by a
     step from depth L, so the vertices this step activates are exactly
     its distinct (replicate, vertex) pairs.  Each is recorded once, by its
-    replicate and breadth-first number, and launches a walker that holds
-    only its slot among the records, its next draw and its steps left.  A
+    replicate, its breadth-first number and its entity hash (the first of
+    the two rounds of ``uniform``), and launches a walker that holds only
+    its slot among the records, its next draw and its steps left.  A
     replicate retires when a walker launches with reach to max_depth: its
     outcome is then known.  One that has not retired may hold `cap`
     vertices, else ActivationCapError.
@@ -210,10 +211,13 @@ def _frog_levels(keys, d, thresholds, max_depth, bases, cap) -> np.ndarray | Non
     level_start = [np.uint64(b) for b in bases[: max_depth + 2]]
     deepest = np.zeros(keys.size, dtype=np.int64)  # max_depth once retired
     activated = np.ones(keys.size, dtype=np.int64)  # vertices per replicate
-    rep = slot = np.arange(keys.size)  # records: rep, num; walkers: slot, draw, left
+    # records: rep, num, hash; walkers: slot, draw, left.  draw and left are at
+    # most max_depth + 1 <= _first_aliased_depth(d) <= 63, so they fit in a byte
+    rep = slot = np.arange(keys.size)
     num = np.zeros(keys.size, dtype=np.uint64)
-    draw = np.ones(keys.size, dtype=np.uint64)
-    left = _reach_from_thresholds(uniforms(keys, 0, 0), thresholds, max_depth)
+    hash_ = _hash_round(keys.copy(), num)
+    draw = np.ones(keys.size, dtype=np.uint8)
+    left = _reach_draws(hash_, thresholds, max_depth)
     deepest[left == max_depth] = max_depth  # retired: a walker is bound for max_depth
     for depth in range(max_depth):
         if np.any((activated > cap) & (deepest < max_depth)):
@@ -224,33 +228,67 @@ def _frog_levels(keys, d, thresholds, max_depth, bases, cap) -> np.ndarray | Non
         if live.size > _WALKERS and keys.size > 1:
             return None
         slot, draw, left = slot[live], draw[live], left[live]
+        del live
         fanout = d + 1 if depth == 0 else d
-        choice = (uniforms(keys[rep][slot], num[slot], draw) * fanout).astype(np.uint64)
-        np.minimum(choice, fanout - 1, out=choice)  # u == 1.0 endpoint
-        # one walker per new vertex: a duplicate would repeat the same draws,
-        # and its copies would multiply level after level.  Two walkers reach
-        # one vertex iff they leave one slot by one choice.
-        key = slot * fanout + choice.astype(np.int64)
-        if key.max() < _DENSE * key.size:
-            present = np.zeros(key.max() + 1, dtype=bool)
-            present[key] = True
-            next_slot = np.cumsum(present)[key] - 1
-            owner = np.empty(np.count_nonzero(present), dtype=np.intp)
-            owner[next_slot] = np.arange(key.size)
-        else:  # few walkers on a wide level (large d): sort their keys
-            _, owner, next_slot = np.unique(key, return_index=True, return_inverse=True)
+        next_slot, owner, choice = _first_visits(hash_, slot, draw, fanout)
         parent = slot[owner]
+        del slot
         rep = rep[parent]
-        num = _child_number(num[parent], depth, choice[owner], d, level_start)
+        num = _child_number(num[parent], depth, choice, d, level_start)
+        del parent, choice
+        hash_ = _hash_round(keys[rep], num)
         deepest[rep] = depth + 1
         activated += np.bincount(rep, minlength=keys.size)
         budget = max_depth - depth - 1
-        new_left = _reach_from_thresholds(uniforms(keys[rep], num, 0), thresholds, budget)
+        new_left = _reach_draws(hash_, thresholds, budget)
         deepest[rep[new_left == budget]] = max_depth
         slot = np.concatenate((next_slot, np.arange(rep.size)))
-        draw = np.concatenate((draw + np.uint64(1), np.ones(rep.size, dtype=np.uint64)))
-        left = np.concatenate((left - 1, new_left))
+        del next_slot
+        draw += np.uint8(1)
+        draw = np.concatenate((draw, np.ones(rep.size, dtype=np.uint8)))
+        left -= np.uint8(1)
+        left = np.concatenate((left, new_left))
+        del new_left
     return deepest
+
+
+def _reach_draws(hash_, thresholds, budget) -> np.ndarray:
+    # uint8 reach of each vertex with entity hash hash_: the draw round at draw 0
+    u = _to_unit(_hash_round(hash_.copy(), np.uint8(0)))
+    return _reach_from_thresholds(u, thresholds, budget).astype(np.uint8)
+
+
+def _first_visits(hash_, slot, draw, fanout):
+    """One step of the walkers at records `slot`: where each lands, and who lands first.
+
+    A walker's path choice is the draw round of its record's entity hash
+    at its draw.  One walker per new vertex: a duplicate would repeat the
+    same draws, and its copies would multiply level after level.  Two
+    walkers reach one vertex iff they leave one slot by one choice.
+    Returns next_slot (each walker's new record), owner (the first walker
+    on each new vertex, in the order of the new records) and the owners'
+    choices, as uint64.
+    """
+    u = _to_unit(_hash_round(hash_[slot], draw))
+    u *= fanout
+    choice = u.astype(np.uint64)
+    del u
+    np.minimum(choice, fanout - 1, out=choice)  # u == 1.0 endpoint
+    key = slot * fanout
+    key += choice.view(np.int64)  # choice < fanout, so the view is its value
+    top = int(key.max())
+    if top < _DENSE * key.size:
+        rank = np.zeros(top + 1, dtype=np.intp)
+        rank[key] = 1
+        np.cumsum(rank, out=rank)
+        next_slot = rank[key]
+        del rank
+        next_slot -= 1
+        owner = np.empty(int(next_slot.max()) + 1, dtype=np.intp)
+        owner[next_slot] = np.arange(key.size)
+    else:  # few walkers on a wide level (large d): sort their keys
+        _, owner, next_slot = np.unique(key, return_index=True, return_inverse=True)
+    return next_slot, owner, choice[owner]
 
 
 def _frog_replicate(base, d, c, dq, max_depth, bases) -> int:

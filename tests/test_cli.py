@@ -341,6 +341,33 @@ class TestSimulateCommand:
         assert err == f"error: n must be at most {cli._MAX_SITES}, got {n}\n"
         assert peak < 2**20
 
+    def test_a_firework_horizon_past_the_renewal_work_cap_exits_2_before_simulating(
+            self, capsys, monkeypatch):
+        """u_exact would take ~3.7e10 multiply-adds at --n 10^6; refused at once."""
+        def never(*args):
+            raise AssertionError("simulated a refused run")
+
+        monkeypatch.setattr(cli, "simulate_firework", never, raising=False)
+        start = time.perf_counter()
+        code, out, err = run_cli(
+            "simulate firework --c 0.5 --q 0.999 --n 1000000 --seed 1".split(), capsys
+        )
+        assert time.perf_counter() - start < 5.0
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1 and err.startswith("error: N = 1000000 needs ")
+
+    @pytest.mark.parametrize("flags,message", [
+        ("--n 0", "n must be >= 1, got 0"),
+        ("--n -1", "n must be >= 1, got -1"),
+        ("--n 1000000 --replicates 0", "replicates must be >= 1, got 0"),
+        ("--n 1000000 --seed -1", "seed must be a 64-bit unsigned integer, got -1"),
+    ])
+    def test_firework_run_checks_come_before_the_work_cap(self, flags, message, capsys):
+        code, out, err = run_cli(
+            f"simulate firework --c 0.5 --q 0.999 --seed 1 {flags}".split(), capsys
+        )
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     def test_frog_reports_histogram_and_classification(self, capsys):
         code, out, _ = run_cli(
             ["simulate", "frog", "--d", "2", "--c", "1", "--q", "0.35",
@@ -477,3 +504,4 @@ def test_a_real_process_matches_the_golden_and_main(args, code, out, err, capsys
     )
     assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
     assert run_cli(args.split(), capsys) == (code, out, err)
+

@@ -561,3 +561,26 @@ def test_bracket_error_is_reachable_only_by_construction():
     # valid specs always have F(1) < 1, so the solver brackets; the error
     # type still exists for internal-invariant violations
     assert issubclass(BracketError, RuntimeError)
+
+
+def test_renewal_probabilities_refuses_work_past_its_cap_and_keeps_n_5000():
+    spec = HazardSpec(0.5, 0.999)  # k* = 36,719
+    assert renewal_probabilities(spec, 5000).horizon == 5000
+    with pytest.raises(ParameterError, match="^N = 1000000 needs at least .* multiply-adds"):
+        renewal_probabilities(spec, 10**6)
+
+
+@pytest.mark.parametrize("spec,admitted", [
+    (HazardSpec(0.5, 0.999), 100),  # head of N gaps: N^2 <= 10^4
+    (HazardSpec(1.0, 0.25), 370),  # head of k* = 27 gaps: 27 N <= 10^4
+])
+def test_the_work_cap_admits_exactly_n_times_the_head(spec, admitted, monkeypatch):
+    """The walk stops one gap past what the cap admits; an admitted horizon
+    still gets the whole head, so its values do not move."""
+    want = renewal_probabilities(spec, admitted).values
+    monkeypatch.setattr(renewal, "_MAX_RENEWAL_MADDS", 10**4)
+    assert renewal_probabilities(spec, admitted).values == want
+    with pytest.raises(ParameterError, match="multiply-adds"):
+        renewal_probabilities(spec, admitted + 1)
+    with pytest.raises(ParameterError, match="^N = 1000000000000 needs at least"):
+        renewal_probabilities(spec, 10**12)

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from frogcrit.rng import (
+    _hash_round,
+    _to_unit,
     replicate_key,
     replicate_key_range,
     uniform,
@@ -59,3 +61,40 @@ def test_uniform_matrix_is_uniforms_over_the_grid(seed):
     for j in range(30):
         assert np.array_equal(mat[:, j], uniforms(keys, j, 1))
     assert mat[39, 29] == uniform(replicate_key(seed, 39), 29, 1)
+
+
+def _owned(x):
+    return np.array(x, dtype=np.uint64)
+
+
+def test_uniforms_leaves_its_inputs_unchanged():
+    """The hash rounds run in place, on an array uniforms allocates itself."""
+    keys = replicate_key_range(5, 0, 8)
+    entities = np.arange(8, dtype=np.uint64) * np.uint64(2**61)
+    draws = np.full(8, 62, dtype=np.uint64)
+    before = [a.tobytes() for a in (keys, entities, draws)]
+    want = uniforms(keys.copy(), entities.copy(), draws.copy())
+    assert np.array_equal(uniforms(keys, entities, draws), want)
+    uniforms(keys[::2], entities[1::2], draws[:4])  # views
+    uniforms(keys[3, ...], entities[3, ...], draws[3, ...])  # 0-d views
+    uniforms(keys, keys, draws)  # one array twice
+    uniforms(keys, keys, keys)
+    uniforms(keys[:, None], entities[None, :], 0)
+    assert [a.tobytes() for a in (keys, entities, draws)] == before
+    assert np.array_equal(uniforms(keys, entities, draws), want)
+
+
+@pytest.mark.parametrize("key", [0, 2**64 - 1])
+@pytest.mark.parametrize("draw", [0, 62])
+def test_entity_round_then_draw_round_is_the_scalar_uniform(key, draw):
+    entity = 2**64 - 1
+    want = uniform(key, entity, draw)
+    zero_d = _to_unit(_hash_round(_hash_round(_owned(key), _owned(entity)), _owned(draw)))
+    assert zero_d.shape == () and float(zero_d) == want
+    one_d = _to_unit(_hash_round(_hash_round(_owned([key] * 3), entity), np.uint8(draw)))
+    assert one_d.tolist() == [want] * 3
+    grid = np.empty((2, 3), dtype=np.uint64)
+    grid[...] = _owned([key, key])[:, None]
+    entities = _owned([entity, 0, 7])[None, :]
+    got = _to_unit(_hash_round(_hash_round(grid, entities), _owned([[draw], [draw]])))
+    assert got.tolist() == [[uniform(key, e, draw) for e in (entity, 0, 7)]] * 2

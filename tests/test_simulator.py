@@ -744,9 +744,9 @@ class TestMemoryIsSetByTheBlock:
         """Clusters sink to depth 40 before they retire, so a block's walkers
         grow with its replicates until the walker budget splits it.
 
-        Unsplit, the 512 replicates of one block peak past the bound.  Under
-        a budget of 2^12 walkers, 128 and 512 replicates peak alike, below
-        256 bytes per walker of the budget.
+        Unsplit, the 1024 replicates of one block peak past twice the bound.
+        Under a budget of 2^12 walkers, 128 and 512 replicates peak alike,
+        below 256 bytes per walker of the budget.
         """
         def config(replicates):
             return FrogSimConfig(
@@ -754,11 +754,25 @@ class TestMemoryIsSetByTheBlock:
             )
 
         bound = 256 * 2**12 / 2**20
-        assert _traced_peak_mib(simulate_frog, config(512)) > 2 * bound
+        assert _traced_peak_mib(simulate_frog, config(1024)) > 2 * bound
         monkeypatch.setattr(simulator, "_WALKERS", 2**12)
         small = _traced_peak_mib(simulate_frog, config(128))
         large = _traced_peak_mib(simulate_frog, config(512))
         assert large < bound and large < 1.25 * small, (small, large)
+
+
+def test_level_engine_block_peak_stays_under_its_guard():
+    """One _frog_levels call at the benchmark's block shape: (2, 1, 0.35),
+    depth 12, 4096 replicates.  Records carry their entity hash and walkers
+    a byte-wide draw, so the traced peak stays below 600 KB: 465 KB on
+    numpy 2.4.6, where the engine that hashed every draw from its key
+    peaked at 808 KB."""
+    max_depth = 12
+    keys = replicate_key_range(7, 0, 4096)
+    bases = _level_bases(2, max_depth + 1)
+    thresholds = _reach_thresholds(1.0, 0.7, max_depth)
+    peak = _traced_peak_mib(_frog_levels, keys, 2, thresholds, max_depth, bases, 10**7) * 2**20
+    assert peak < 600_000, peak
 
 
 def test_subnormal_scale_informs_nobody_without_warning():
