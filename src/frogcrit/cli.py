@@ -34,7 +34,7 @@ atexit.register(gc.freeze)
 _FORMATS = ("plain", "csv", "jsonl")
 # a table call of this many degrees takes about 100 s (cone rows)
 _MAX_DEGREES = 1_000_000
-# a firework run takes ~13 us and ~0.7 KB of RSS per site (2.6 s and 148 MB at 2e5 sites)
+# a firework run takes ~13 us and, in plain output, ~0.5 KB of RSS per site (csv, jsonl: ~50 B)
 _MAX_SITES = 1_000_000
 
 # this module, whose attributes the commands call (see the docstring)
@@ -92,13 +92,14 @@ def _fmt_csv(value) -> str:
     return str(value)
 
 
-def _emit(schema: str, header: list[str], rows: list[list], fmt: str,
+def _emit(schema: str, header: list[str], rows, fmt: str,
           out, notes: list[str] | None = None) -> None:
-    """Render rows in the requested format.
+    """Render rows, an iterable of lists, in the requested format.
 
-    Notes (free-form summary lines) appear after the table in plain
-    output and as a separate "<schema>.note" object in jsonl; csv output
-    carries rows only.
+    csv and jsonl print each row as it comes; plain output needs them all
+    for its column widths.  Notes (free-form summary lines) appear after
+    the table in plain output and as a separate "<schema>.note" object in
+    jsonl; csv output carries rows only.
     """
     if fmt == "csv":
         print("schema," + ",".join(header), file=out)
@@ -178,14 +179,15 @@ def _cmd_simulate(args, out) -> int:
         exact = _cli.renewal_probabilities(spec, args.n).values
         outcome = _cli.simulate_firework(spec, args.n, args.replicates, args.seed)
         header = ["site", "hits", "p_hat", "u_exact", "z"]
-        rows = []
-        for site in range(args.n + 1):
-            p_hat = outcome.branch_hits[site] / args.replicates
-            u = exact[site]
-            se = (u * (1.0 - u) / args.replicates) ** 0.5
-            z = (p_hat - u) / se if se > 0.0 else 0.0
-            rows.append([site, int(outcome.branch_hits[site]), p_hat, u, z])
-        _emit("firework.v1", header, rows, args.format, out)
+
+        def rows():  # one at a time, so csv and jsonl print each as it is built
+            for site in range(args.n + 1):
+                p_hat = outcome.branch_hits[site] / args.replicates
+                u = exact[site]
+                se = (u * (1.0 - u) / args.replicates) ** 0.5
+                z = (p_hat - u) / se if se > 0.0 else 0.0
+                yield [site, int(outcome.branch_hits[site]), p_hat, u, z]
+        _emit("firework.v1", header, rows(), args.format, out)
         return 0
     params = _cli.TreeParams(args.d, args.c, args.q)
     # without --cap, FrogSimConfig's own default applies

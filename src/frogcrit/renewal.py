@@ -37,9 +37,9 @@ _MAX_BISECT = 200
 _RATIO_MARGIN = 1e-6
 _RESIDUAL_TOL = 1e-14  # series tolerance of convergence_rate's residual
 _FLOAT_MAX = sys.float_info.max
-# multiply-adds of renewal_probabilities, N times its head length, past which
-# it refuses a horizon: at ~13 ns each, N = 14142 at (c, q) = (0.5, 0.999)
-# takes 2.5 s, and the CLI's --n limit of 10^6 would take hours
+# multiply-adds of renewal_probabilities and growth_sequence, N times their head
+# length, past which _capped_head refuses N: at ~13 ns each, N = 14142 at (c, q) =
+# (0.5, 0.999) takes 2.5 s, and the CLI's --n limit of 10^6 would take hours
 _MAX_RENEWAL_MADDS = 200_000_000
 
 
@@ -76,16 +76,19 @@ def renewal_probabilities(spec: HazardSpec, N: int) -> RenewalProbs:
     """
     if N < 0:
         raise ParameterError(f"N must be >= 0, got {N}")
-    # a head one gap longer than the cap admits is enough to refuse N, so the
-    # walk stops there; a shorter head is the whole gap_head(spec, N)
-    head = gap_head(spec, min(N, _MAX_RENEWAL_MADDS // max(N, 1) + 1))
+    return RenewalProbs(values=_renewal_recursion(_capped_head(spec, N), spec.q, N), spec=spec)
+
+
+def _capped_head(spec: HazardSpec, N: int, alpha: float = 1.0) -> list[float]:
+    # gap_head(spec, N, alpha), walked at most one gap past what the cap admits:
+    # a head that long refuses N, and a shorter one is the whole gap_head
+    head = gap_head(spec, min(N, _MAX_RENEWAL_MADDS // max(N, 1) + 1), alpha)
     if N * len(head) > _MAX_RENEWAL_MADDS:
         raise ParameterError(
             f"N = {N} needs at least {N * len(head)} multiply-adds at this hazard "
             f"law, more than {_MAX_RENEWAL_MADDS}"
         )
-    values = _renewal_recursion(head, spec.q, N)
-    return RenewalProbs(values=values, spec=spec)
+    return head
 
 
 def _renewal_recursion(
@@ -243,14 +246,15 @@ def growth_sequence(d: int, spec: HazardSpec, N: int) -> tuple[float, ...]:
     at alpha = 1.  Past k* the tilted gaps are geometric with ratio d q, so
     the recursion costs O(N k*) and sums every gap (see _renewal_recursion).
     In the supercritical regime v_n grows without bound: once some v_n
-    overflows, ParameterError names that n.  growth_classifier runs the
-    same recursion but stops at the first v_n > 1, so it never overflows.
+    overflows, ParameterError names that n; past the work cap of
+    renewal_probabilities it refuses N.  growth_classifier runs the same
+    recursion, uncapped, but stops at the first v_n > 1, so it never overflows.
     """
     check_degree(d)
     if N < 0:
         raise ParameterError(f"N must be >= 0, got {N}")
     # only inf exceeds the largest float, so the recursion stops at the overflow
-    v = _renewal_recursion(gap_head(spec, N, d), d * spec.q, N, stop_above=_FLOAT_MAX)
+    v = _renewal_recursion(_capped_head(spec, N, d), d * spec.q, N, stop_above=_FLOAT_MAX)
     if len(v) <= N:
         raise ParameterError(
             f"d^n u_n overflows at n = {len(v) - 1} of horizon N = {N}; "

@@ -202,24 +202,36 @@ def _frog_levels(keys, d, thresholds, max_depth, bases, cap) -> np.ndarray | Non
     its distinct (replicate, vertex) pairs.  Each is recorded once, by its
     replicate, its breadth-first number and its entity hash (the first of
     the two rounds of ``uniform``), and launches a walker that holds only
-    its slot among the records, its next draw and its steps left.  A
-    replicate retires when a walker launches with reach to max_depth: its
-    outcome is then known.  One that has not retired may hold `cap`
-    vertices, else ActivationCapError.
+    its slot among the records, its next draw and its steps left.  The
+    roots are the records of depth 0, hashed and launched by the same lines
+    as every later level.  A replicate retires when a walker launches with
+    reach to max_depth: its outcome is then known.  One that has not
+    retired may hold `cap` vertices, else ActivationCapError.
     None means more than _WALKERS walkers of two or more replicates were live.
     """
     level_start = [np.uint64(b) for b in bases[: max_depth + 2]]
     deepest = np.zeros(keys.size, dtype=np.int64)  # max_depth once retired
-    activated = np.ones(keys.size, dtype=np.int64)  # vertices per replicate
+    activated = np.zeros(keys.size, dtype=np.int64)  # vertices per replicate
     # records: rep, num, hash; walkers: slot, draw, left.  draw and left are at
     # most max_depth + 1 <= _first_aliased_depth(d) <= 63, so they fit in a byte
-    rep = slot = np.arange(keys.size)
+    rep = np.arange(keys.size)  # the roots
     num = np.zeros(keys.size, dtype=np.uint64)
-    hash_ = _hash_round(keys.copy(), num)
-    draw = np.ones(keys.size, dtype=np.uint8)
-    left = _reach_draws(hash_, thresholds, max_depth)
-    deepest[left == max_depth] = max_depth  # retired: a walker is bound for max_depth
-    for depth in range(max_depth):
+    slot = np.empty(0, dtype=np.intp)
+    draw = left = np.empty(0, dtype=np.uint8)
+    for depth in range(max_depth + 1):
+        # hash the records new at this depth; each launches a walker, reach at draw 0
+        hash_ = _hash_round(keys[rep], num)
+        deepest[rep] = depth
+        activated += np.bincount(rep, minlength=keys.size)
+        budget = max_depth - depth
+        reach = _reach_from_thresholds(
+            _to_unit(_hash_round(hash_.copy(), np.uint8(0))), thresholds, budget
+        ).astype(np.uint8)
+        deepest[rep[reach == budget]] = max_depth  # retired: a walker is bound for max_depth
+        slot = np.concatenate((slot, np.arange(rep.size)))
+        draw = np.concatenate((draw, np.ones(rep.size, dtype=np.uint8)))
+        left = np.concatenate((left, reach))
+        del reach
         if np.any((activated > cap) & (deepest < max_depth)):
             raise ActivationCapError(f"activated set exceeded cap of {cap} vertices")
         live = np.flatnonzero((left > 0) & (deepest < max_depth)[rep][slot])
@@ -230,44 +242,25 @@ def _frog_levels(keys, d, thresholds, max_depth, bases, cap) -> np.ndarray | Non
         slot, draw, left = slot[live], draw[live], left[live]
         del live
         fanout = d + 1 if depth == 0 else d
-        next_slot, owner, choice = _first_visits(hash_, slot, draw, fanout)
-        parent = slot[owner]
-        del slot
+        slot, parent, choice = _first_visits(hash_, slot, draw, fanout)
         rep = rep[parent]
         num = _child_number(num[parent], depth, choice, d, level_start)
         del parent, choice
-        hash_ = _hash_round(keys[rep], num)
-        deepest[rep] = depth + 1
-        activated += np.bincount(rep, minlength=keys.size)
-        budget = max_depth - depth - 1
-        new_left = _reach_draws(hash_, thresholds, budget)
-        deepest[rep[new_left == budget]] = max_depth
-        slot = np.concatenate((next_slot, np.arange(rep.size)))
-        del next_slot
         draw += np.uint8(1)
-        draw = np.concatenate((draw, np.ones(rep.size, dtype=np.uint8)))
         left -= np.uint8(1)
-        left = np.concatenate((left, new_left))
-        del new_left
     return deepest
 
 
-def _reach_draws(hash_, thresholds, budget) -> np.ndarray:
-    # uint8 reach of each vertex with entity hash hash_: the draw round at draw 0
-    u = _to_unit(_hash_round(hash_.copy(), np.uint8(0)))
-    return _reach_from_thresholds(u, thresholds, budget).astype(np.uint8)
-
-
 def _first_visits(hash_, slot, draw, fanout):
-    """One step of the walkers at records `slot`: where each lands, and who lands first.
+    """One step of the walkers at records `slot`: where each lands, and the new vertices.
 
     A walker's path choice is the draw round of its record's entity hash
     at its draw.  One walker per new vertex: a duplicate would repeat the
     same draws, and its copies would multiply level after level.  Two
     walkers reach one vertex iff they leave one slot by one choice.
-    Returns next_slot (each walker's new record), owner (the first walker
-    on each new vertex, in the order of the new records) and the owners'
-    choices, as uint64.
+    Returns next_slot (each walker's new record), and the parent slot and
+    the choice, as uint64, of each new record, in the order of the new
+    records.
     """
     u = _to_unit(_hash_round(hash_[slot], draw))
     u *= fanout
@@ -288,7 +281,7 @@ def _first_visits(hash_, slot, draw, fanout):
         owner[next_slot] = np.arange(key.size)
     else:  # few walkers on a wide level (large d): sort their keys
         _, owner, next_slot = np.unique(key, return_index=True, return_inverse=True)
-    return next_slot, owner, choice[owner]
+    return next_slot, slot[owner], choice[owner]
 
 
 def _frog_replicate(base, d, c, dq, max_depth, bases) -> int:
@@ -366,9 +359,8 @@ def simulate_firework(spec: HazardSpec, n: int, replicates: int, seed: int) -> S
     c, q = spec.c, spec.q
     hits = np.zeros(n + 1, dtype=np.int64)
     for keys in _key_blocks(seed, replicates, _LINE_BLOCK):
-        hits[0] += keys.size
-        reach = _radii_from_uniforms(uniforms(keys, 0, 0), c, q)  # max of i + D_i over informed i
-        for j in range(1, n + 1):
+        reach = np.zeros(keys.size)  # max of i + D_i over informed i < j
+        for j in range(n + 1):
             informed = reach >= j
             keys, reach = keys[informed], reach[informed]
             hits[j] += keys.size

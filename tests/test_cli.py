@@ -1,5 +1,6 @@
 """CLI tests: flags, formats, schemas, exit codes, determinism."""
 
+import contextlib
 import csv
 import io
 import json
@@ -367,6 +368,25 @@ class TestSimulateCommand:
             f"simulate firework --c 0.5 --q 0.999 --seed 1 {flags}".split(), capsys
         )
         assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    def test_firework_csv_streams_its_rows(self):
+        """A row is printed before the next is built, so the traced peak of
+        main grows by less than 100 bytes per site (about 200 when every row
+        is held until the table is printed); stdout goes to the null device,
+        which keeps nothing."""
+        def peak(n):
+            tracemalloc.start()
+            try:
+                with open(os.devnull, "w") as null, contextlib.redirect_stdout(null):
+                    assert main(f"simulate firework --c 1 --q 0.25 --n {n} --replicates 10 "
+                                "--seed 1 --format csv".split()) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(1)  # loads the simulator and numpy, which the measured runs must not count
+        small, large = 5_000, 50_000
+        assert (peak(large) - peak(small)) / (large - small) < 100
 
     def test_frog_reports_histogram_and_classification(self, capsys):
         code, out, _ = run_cli(

@@ -584,3 +584,21 @@ def test_the_work_cap_admits_exactly_n_times_the_head(spec, admitted, monkeypatc
         renewal_probabilities(spec, admitted + 1)
     with pytest.raises(ParameterError, match="^N = 1000000000000 needs at least"):
         renewal_probabilities(spec, 10**12)
+
+
+@pytest.mark.parametrize("spec,admitted", [
+    (HazardSpec(0.5, 0.999), 100),  # head of N gaps: N^2 <= 10^4
+    (HazardSpec(1.0, 0.25), 370),  # head of k* = 27 gaps: 27 N <= 10^4
+])
+def test_growth_sequence_has_the_work_cap_of_renewal_probabilities(spec, admitted, monkeypatch):
+    """Under a cap of 10^4 an admitted horizon keeps its values and one more
+    is refused; growth_classifier, which shares the recursion, stays uncapped."""
+    want = growth_sequence(2, spec, admitted)
+    verdict = growth_classifier(2, spec, 10**4)
+    monkeypatch.setattr(renewal, "_MAX_RENEWAL_MADDS", 10**4)
+    assert growth_sequence(2, spec, admitted) == want
+    with pytest.raises(ParameterError, match=f"^N = {admitted + 1} needs at least .* multiply"):
+        growth_sequence(2, spec, admitted + 1)
+    with pytest.raises(ParameterError, match="^N = 1000000000000 needs at least"):
+        growth_sequence(2, spec, 10**12)
+    assert growth_classifier(2, spec, 10**4) is verdict
