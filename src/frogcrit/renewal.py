@@ -74,14 +74,14 @@ def renewal_probabilities(spec: HazardSpec, N: int) -> RenewalProbs:
     The recursion costs N times the gap head's length in multiply-adds;
     past _MAX_RENEWAL_MADDS it is refused with ParameterError.
     """
-    if N < 0:
-        raise ParameterError(f"N must be >= 0, got {N}")
     return RenewalProbs(values=_renewal_recursion(_capped_head(spec, N), spec.q, N), spec=spec)
 
 
 def _capped_head(spec: HazardSpec, N: int, alpha: float = 1.0) -> list[float]:
     # gap_head(spec, N, alpha), walked at most one gap past what the cap admits:
     # a head that long refuses N, and a shorter one is the whole gap_head
+    if N < 0:
+        raise ParameterError(f"N must be >= 0, got {N}")
     head = gap_head(spec, min(N, _MAX_RENEWAL_MADDS // max(N, 1) + 1), alpha)
     if N * len(head) > _MAX_RENEWAL_MADDS:
         raise ParameterError(
@@ -251,8 +251,6 @@ def growth_sequence(d: int, spec: HazardSpec, N: int) -> tuple[float, ...]:
     recursion, uncapped, but stops at the first v_n > 1, so it never overflows.
     """
     check_degree(d)
-    if N < 0:
-        raise ParameterError(f"N must be >= 0, got {N}")
     # only inf exceeds the largest float, so the recursion stops at the overflow
     v = _renewal_recursion(_capped_head(spec, N, d), d * spec.q, N, stop_above=_FLOAT_MAX)
     if len(v) <= N:

@@ -232,6 +232,8 @@ def _frog_levels(keys, d, thresholds, max_depth, bases, cap) -> np.ndarray | Non
         draw = np.concatenate((draw, np.ones(rep.size, dtype=np.uint8)))
         left = np.concatenate((left, reach))
         del reach
+        if depth == max_depth:  # no walker steps past it
+            break
         if np.any((activated > cap) & (deepest < max_depth)):
             raise ActivationCapError(f"activated set exceeded cap of {cap} vertices")
         live = np.flatnonzero((left > 0) & (deepest < max_depth)[rep][slot])
