@@ -44,6 +44,8 @@ class HazardSpec(checked_record("HazardSpec", "c q")):
             raise ParameterError(f"c must be in (0, 1], got {c}")
         if not 0.0 < q < 1.0:
             raise ParameterError(f"q must be in (0, 1), got {q}")
+        if min(c, q) < sys.float_info.min:  # subnormal: the products c q^k keep a few bits
+            raise ParameterError(f"c and q must be normal floats, got c = {c}, q = {q}")
         return super().__new__(cls, c, q)
 
     def hazard(self, k: int) -> float:

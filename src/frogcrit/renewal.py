@@ -211,12 +211,7 @@ def convergence_rate(spec: HazardSpec) -> RateResult:
     """
     c, q = spec.c, spec.q
     lo = 1.0 + 1e-12
-    hi = 1.0 / q - 1e-12
-    if not math.isfinite(hi):
-        raise ParameterError(
-            f"q = {q} is too small: 1/q overflows, so the rate (~1/(2q) at c = 1) "
-            "is not representable"
-        )
+    hi = 1.0 / q - 1e-12  # finite: q is a normal float
     while hi * q >= 1.0:  # at small q the 1e-12 step rounds away
         hi = math.nextafter(hi, 0.0)
     if lo * q >= 1.0 or hi <= lo:

@@ -218,7 +218,8 @@ def _frog_levels(keys, d, thresholds, max_depth, bases, cap) -> np.ndarray | Non
     num = np.zeros(keys.size, dtype=np.uint64)
     slot = np.empty(0, dtype=np.intp)
     draw = left = np.empty(0, dtype=np.uint8)
-    for depth in range(max_depth + 1):
+    # no record forms at max_depth: a walker bound there retires its replicate at launch
+    for depth in range(max_depth):
         # hash the records new at this depth; each launches a walker, reach at draw 0
         hash_ = _hash_round(keys[rep], num)
         deepest[rep] = depth
@@ -232,8 +233,6 @@ def _frog_levels(keys, d, thresholds, max_depth, bases, cap) -> np.ndarray | Non
         draw = np.concatenate((draw, np.ones(rep.size, dtype=np.uint8)))
         left = np.concatenate((left, reach))
         del reach
-        if depth == max_depth:  # no walker steps past it
-            break
         if np.any((activated > cap) & (deepest < max_depth)):
             raise ActivationCapError(f"activated set exceeded cap of {cap} vertices")
         live = np.flatnonzero((left > 0) & (deepest < max_depth)[rep][slot])
@@ -317,10 +316,8 @@ def _frog_replicate(base, d, c, dq, max_depth, bases) -> int:
 
 
 def _radii_from_uniforms(u: np.ndarray, c: float, q: float) -> np.ndarray:
-    # inverse transform of P(D >= k) = c q^k: D = floor(log(u/c) / log q).
-    # For subnormal c, u / c overflows to inf and the radius is 0, as it should be.
-    with np.errstate(over="ignore"):
-        return np.maximum(np.floor(np.log(u / c) / np.log(q)), 0.0)
+    # inverse transform of P(D >= k) = c q^k: D = floor(log(u/c) / log q)
+    return np.maximum(np.floor(np.log(u / c) / np.log(q)), 0.0)
 
 
 def _informed_counts(radii: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:

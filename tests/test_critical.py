@@ -66,6 +66,83 @@ class TestSurvivalSeries:
             survival_series(3, 0.5, 0.4)
 
 
+def _q_pochhammer(a: float, q: float) -> float:
+    """(a; q)_inf = prod_{i>=0} (1 - a q^i), up to its first factor that rounds to 1."""
+    out, qi = 1.0, 1.0
+    while 1.0 - a * qi != 1.0:
+        out *= 1.0 - a * qi
+        qi *= q
+    return out
+
+
+def heine_series(d: int, c: float, q: float) -> float:
+    """G(q) by Heine's first transformation; it shares no loop with distributions._tilted_gaps.
+
+    With x = d q, G = c x 2phi1(cq, q; 0; q, x) (Gasper and Rahman, Basic
+    Hypergeometric Series, 2nd ed., 2004, section 1.4), which equals
+    c x (q;q)_inf (cqx;q)_inf / (x;q)_inf * sum_{n>=0} (x;q)_n q^n / ((q;q)_n (cqx;q)_n).
+    Every term is positive and shrinks like q^n, so the sum stops once a term
+    no longer moves it, whatever c.
+    """
+    x = d * q
+    y = c * q * x
+    total, term, qn = 0.0, 1.0, 1.0
+    while total + term != total:
+        total += term
+        term *= (1.0 - x * qn) * q / ((1.0 - q * qn) * (1.0 - y * qn))
+        qn *= q
+    return c * x * _q_pochhammer(q, q) * _q_pochhammer(y, q) / _q_pochhammer(x, q) * total
+
+
+def _ulps(got: float, want: float) -> float:
+    return abs(got - want) / math.ulp(want)
+
+
+HEINE_CELLS = [(d, c, None) for d in (2, 3, 5, 10, 30, 100, 1000) for c in (0.25, 0.5, 1.0)] + [
+    (d, c, r / d) for d in (10**4, 10**5, 10**6) for r in (0.3, 0.45, 0.49) for c in (0.25, 0.5, 1.0)
+]
+
+
+class TestHeineForm:
+    """survival_series against a second formula for G: the series leg's cross-check.
+
+    A fault in _tilted_gaps, such as starting its product at i = 0, moves
+    the series root and the renewal rate together; it does not move Heine's
+    value.  Cells without a q are taken at their solved q_c.
+    """
+
+    @pytest.mark.parametrize("d, c, q", HEINE_CELLS)
+    def test_heine_form_is_within_8_ulp_of_a_60_digit_series(self, d, c, q):
+        mpmath = pytest.importorskip("mpmath")
+        q = solve_qc(d, c).q_c if q is None else q
+        with mpmath.workdps(60):
+            C, X = mpmath.mpf(c), d * mpmath.mpf(q)
+            total, scale, surv, qk = mpmath.mpf(0), C * X, mpmath.mpf(1), mpmath.mpf(q)
+            while scale * X / (1 - X) > mpmath.mpf(10) ** -60:
+                total += scale * surv
+                surv *= 1 - C * qk
+                qk *= q
+                scale *= X
+            want = float(total)
+        assert _ulps(heine_series(d, c, q), want) <= 8  # 6 read
+
+    @pytest.mark.parametrize("d, c, q", HEINE_CELLS)
+    def test_survival_series_is_within_64_ulp_of_heine(self, d, c, q):
+        q = solve_qc(d, c).q_c if q is None else q
+        assert _ulps(survival_series(d, c, q, 1e-15), heine_series(d, c, q)) <= 64  # 60 read
+
+    @pytest.mark.parametrize("c, q_c, bound", [
+        # solve_qc(2, c).q_c, stored: it takes ~2 s to solve at c = 1e-4.  The bounds are the
+        # distances the term-by-term tail reads; summing the tail in closed form is to bring
+        # them to 64 ulp.
+        (1e-2, 0.4950964966404773, 28),
+        (1e-3, 0.49950099635043377, 365),
+        (1e-4, 0.4999500099963351, 4236),
+    ])
+    def test_survival_series_at_small_c_keeps_its_recorded_distance_to_heine(self, c, q_c, bound):
+        assert _ulps(survival_series(2, c, q_c, 1e-15), heine_series(2, c, q_c)) <= bound
+
+
 def _scan_solve_qc(d, c, tol=1e-12):
     """solve_qc as it was with a 64-point sign scan: the reference of the binary-search bracket."""
     critical._validate_dc(d, c)
@@ -176,11 +253,12 @@ class TestSolveQc:
             solve_qc(2, 1.0, tol=0.0)
 
     def test_a_degree_past_the_largest_float_is_a_parameter_error(self):
-        """1/d overflows for such a d; at the largest float itself the sign test brackets."""
+        """1/d overflows for such a d.  At the largest float itself the root lies below the normal
+        floats, so the residual series refuses the bracket's midpoint."""
         for d in (int(sys.float_info.max) + 1, 10**400):
             with pytest.raises(ParameterError, match="^d must be at most the largest float"):
                 solve_qc(d, 1.0)
-        with pytest.raises(BracketError):
+        with pytest.raises(ParameterError, match="^c and q must be normal floats, got c = 1.0, q = 2.8"):
             solve_qc(int(sys.float_info.max), 1.0)
 
 

@@ -310,9 +310,11 @@ class TestSpecValidation:
         assert params.hazard_spec == HazardSpec(0.5, 0.5)
 
     def test_tree_params_degree_past_the_largest_float(self):
-        """d q overflows for such a d, whatever q; the largest float itself is a degree."""
+        """d q overflows for such a d, whatever q.  The largest float itself is a degree, but
+        every q <= 1/d there is subnormal, so the hazard law refuses it."""
         top = int(sys.float_info.max)
-        assert TreeParams(top, 1.0, 1e-309).d == top
+        with pytest.raises(ParameterError, match="^c and q must be normal floats, got c = 1.0, q = 1e-309$"):
+            TreeParams(top, 1.0, 1e-309)
         for d in (top + 1, 10**400):
             with pytest.raises(ParameterError, match="^d must be at most the largest float"):
                 TreeParams(d, 1.0, 1e-309)

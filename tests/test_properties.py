@@ -5,13 +5,14 @@ trip of the visit-probability map r(p), and the CLI's exit codes on any degree."
 import contextlib
 import io
 import math
+import sys
 from unittest import mock
 
 import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import assume, given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, example, given, settings, strategies as st  # noqa: E402
 
 from frogcrit import (  # noqa: E402
     FrogSimConfig,
@@ -28,8 +29,9 @@ from frogcrit.distributions import gap_head  # noqa: E402
 from frogcrit.rng import replicate_key  # noqa: E402
 from frogcrit.simulator import _frog_replicate, _level_bases  # noqa: E402
 
-scales = st.floats(min_value=0.0, max_value=1.0, exclude_min=True)  # c in (0, 1]
-ratios = st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True)
+# c in [tiny, 1] and q in [tiny, 1), tiny the smallest normal float: HazardSpec refuses subnormals
+scales = st.floats(min_value=sys.float_info.min, max_value=1.0)
+ratios = st.floats(min_value=sys.float_info.min, max_value=1.0, exclude_max=True)
 steps = st.floats(min_value=0.0, max_value=0.1)
 
 
@@ -226,9 +228,10 @@ def test_pmf_sequence_is_bit_equal_to_the_scalar_loop(c, q, n):
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(
     c=scales,
-    q=st.floats(min_value=0.0, max_value=0.5, exclude_min=True),
+    q=st.floats(min_value=sys.float_info.min, max_value=0.5),
     alpha=st.sampled_from([1, 2, 10, 1000]),
 )
+@example(c=sys.float_info.min, q=0.375, alpha=10)
 def test_gap_head_is_the_prefix_of_pmf_sequence_and_at_most_54_long(c, q, alpha):
     """At q <= 1/2, c q^k rounds away from 1 by k = 54; the gaps past the head are geometric."""
     spec = HazardSpec(c, q)

@@ -3,7 +3,6 @@
 import math
 import sys
 import tracemalloc
-import warnings
 
 import numpy as np
 import pytest
@@ -22,6 +21,7 @@ from frogcrit import (
     solve_qc,
 )
 from frogcrit import simulator
+from frogcrit.cli import main
 from frogcrit.rng import replicate_key, replicate_key_range, uniform, uniform_matrix, uniforms
 from frogcrit.simulator import (
     _BLOCK,
@@ -397,6 +397,38 @@ class TestLevelEngine:
         table = _reach_thresholds(c, d * q, max_depth)
         got = _frog_levels(keys, d, table, max_depth, bases, bases[max_depth + 1])
         assert got.tolist() == _queue_deepest(keys, d, c, q, max_depth)
+
+    @pytest.mark.parametrize("d, c, q, max_depth, replicates, seed", [
+        # the simulate frog goldens
+        (2, 1.0, 0.35, 12, 30000, 7),
+        (3, 0.5, 0.3, 10, 3000, 2**64 - 1),
+        (2, 1.0, 0.2729, 21, 5000, 3),
+        (2, 0.9, 0.5, 16, 4000, 11),
+        (4, 0.8, 0.2, 1, 2000, 0),
+        (10, 1.0, 0.09, 7, 2000, 5),
+        (2, 1.0, 0.2729, 40, 2000, 3),
+        # c d q = 0.99: most walkers launch with reach to the horizon
+        (1000, 1.0, 0.00099, 5, 2000, 0),
+    ])
+    def test_no_record_forms_at_the_horizon(self, d, c, q, max_depth, replicates, seed,
+                                            monkeypatch):
+        """A walker that could reach max_depth retires its replicate when it launches.
+
+        So every step leaves a depth of at most max_depth - 2, no vertex at
+        max_depth is ever numbered, and the level loop stops before max_depth.
+        """
+        depths = []
+
+        def spy(v, depth, *args):
+            depths.append(depth)
+            return _child_number(v, depth, *args)
+
+        monkeypatch.setattr(simulator, "_child_number", spy)
+        config = FrogSimConfig(
+            params=TreeParams(d, c, q), max_depth=max_depth, replicates=replicates, seed=seed,
+        )
+        assert simulate_frog(config).reached_depth[max_depth] > 0
+        assert all(depth <= max_depth - 2 for depth in depths)
 
     def test_one_record_per_activated_vertex(self, monkeypatch):
         """Each level numbers its new vertices in one _child_number call.
@@ -775,12 +807,14 @@ def test_level_engine_block_peak_stays_under_its_guard():
     assert peak < 600_000, peak
 
 
-def test_subnormal_scale_informs_nobody_without_warning():
-    """u / c overflows to inf for subnormal c; the radius is 0 and stays silent."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        outcome = simulate_firework(HazardSpec(1e-310, 0.5), 5, 10, 1)
-        assert outcome.branch_hits.tolist() == [10, 0, 0, 0, 0, 0]
+def test_subnormal_scale_is_refused_before_the_line_engine(capsys):
+    """u / c would overflow for subnormal c; the hazard law refuses c, and the CLI exits 2."""
+    message = "c and q must be normal floats, got c = 1e-310, q = 0.5"
+    with pytest.raises(ParameterError, match=f"^{message}$"):
+        HazardSpec(1e-310, 0.5)
+    args = "simulate firework --c 1e-310 --q 0.5 --n 5 --replicates 10 --seed 1".split()
+    assert main(args) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def _path_number(path, d):
